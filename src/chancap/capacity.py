@@ -3,9 +3,12 @@
 The entanglement-assisted capacity is a concave maximization over input
 states, solved by entropic mirror ascent with a first-order optimality gap.
 The Holevo quantity is a minimax problem solved by alternating a multi-start
-sphere ascent (inner supremum) with barycenter updates of the reference state
-over an accumulated witness ensemble whose positions and weights are improved
-monotonically in the certified lower bound.
+sphere ascent (inner supremum; Armijo steps started from Barzilai-Borwein
+step lengths) with barycenter updates of the reference state over an
+accumulated witness ensemble whose positions and weights are improved
+monotonically in the certified lower bound. The weights come from Newton
+steps on the optimality conditions, with an SLSQP solve when those leave a
+gap.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from .channels import QuantumChannel, depolarizing_channel
+from .entropy import _log_mean_reciprocal
 from .linalg import seeded_rng
 
 LN2 = float(np.log(2.0))
@@ -28,6 +32,7 @@ STEP_FLOOR = 1e-8
 LOG_FLOOR = 1e-30
 BARYCENTER_MIX = 1e-12
 RATIO_CUTOFF_BITS = 1e-9
+WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
 
 
 @dataclass
@@ -176,12 +181,15 @@ def _batch_outputs(channel: QuantumChannel, states: np.ndarray) -> np.ndarray:
     return np.einsum("rmb,rmc->rbc", amps, amps.conj())
 
 
+def _output_self_terms(outs: np.ndarray) -> np.ndarray:
+    """tr(out ln out) for each output in a batch, with floored logs."""
+    w = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
+    return np.sum(w * np.log(np.clip(w, LOG_FLOOR, None)), axis=1)
+
+
 def _batch_values(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
     outs = _batch_outputs(channel, states)
-    w = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-    self_part = np.sum(w * np.log(np.clip(w, LOG_FLOOR, None)), axis=1)
-    cross = np.einsum("rbc,cb->r", outs, ln_sigma).real
-    return self_part - cross
+    return _output_self_terms(outs) - np.einsum("rbc,cb->r", outs, ln_sigma).real
 
 
 def _batch_divergence_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
@@ -205,14 +213,20 @@ def _sphere_ascent(
 ):
     """Batched projected gradient ascent of D(T(psi)||sigma) on the unit sphere.
 
-    Each row carries its own adaptive step; rows retire once their tangent
-    gradient is below ``grad_tol`` or no ascent step is accepted. Returns the
-    final (values, states) for every row.
+    Each row starts its Armijo backtracking from the short Barzilai-Borwein
+    step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
+    clipped to [1e-3, 1e3]; where Re<s,y> <= 0, as before a row first moves,
+    it starts from its own doubled last step instead. Rows retire once their
+    tangent gradient is below ``grad_tol`` or no ascent step is accepted, and
+    row values never decrease. Returns the final (values, states) for every
+    row.
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     vals = _batch_values(channel, ln_sigma, psi)
     steps = np.ones(len(psi))
     active = np.ones(len(psi), dtype=bool)
+    prev_psi = psi.copy()
+    prev_tangent = np.zeros_like(psi)
     for _ in range(max_steps):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -228,7 +242,14 @@ def _sphere_ascent(
             continue
         tangent = tangent[~done]
         norms = norms[~done]
-        alpha = steps[idx].copy()
+        s = psi[idx] - prev_psi[idx]
+        y = prev_tangent[idx] - tangent
+        sy = np.einsum("ri,ri->r", s.conj(), y).real
+        use_bb = sy > 0.0
+        bb = sy / np.where(use_bb, np.linalg.norm(y, axis=1) ** 2, 1.0)
+        alpha = np.where(use_bb, np.clip(bb, 1e-3, 1e3), steps[idx])
+        prev_psi[idx] = psi[idx]
+        prev_tangent[idx] = tangent
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(25):
             if not pending.any():
@@ -274,14 +295,66 @@ def max_output_divergence(
     return float(vals[best]), psi[best]
 
 
-def _mixture_divergence(outs: np.ndarray, weights: np.ndarray) -> float:
-    """Ensemble mixture divergence with floored logs (a valid lower bound)."""
-    w_out = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-    self_terms = np.sum(w_out * np.log(np.clip(w_out, LOG_FLOOR, None)), axis=1)
+def _barycenter(outs: np.ndarray, weights: np.ndarray, anchor: np.ndarray | None = None):
+    """Weighted average of the outputs, mixed with BARYCENTER_MIX of ``anchor`` if given."""
     avg = np.einsum("r,rij->ij", weights, outs)
-    ln_avg = _log_matrix(avg)
-    cross = np.einsum("rbc,cb->r", outs, ln_avg).real
-    return float(weights @ (self_terms - cross))
+    if anchor is None:
+        return avg
+    return (1.0 - BARYCENTER_MIX) * avg + BARYCENTER_MIX * anchor
+
+
+def _mixture_divergences(
+    outs: np.ndarray,
+    weights: np.ndarray,
+    anchor: np.ndarray | None = None,
+    self_terms: np.ndarray | None = None,
+) -> np.ndarray:
+    """Divergences D_i = D(out_i || barycenter) with floored logs.
+
+    Without an anchor, ``weights @ D`` is the ensemble mixture divergence, a
+    valid lower bound on the Holevo quantity. ``self_terms`` caches
+    ``_output_self_terms(outs)`` across calls on one alphabet.
+    """
+    if self_terms is None:
+        self_terms = _output_self_terms(outs)
+    ln_avg = _log_matrix(_barycenter(outs, weights, anchor))
+    return self_terms - np.einsum("rbc,cb->r", outs, ln_avg).real
+
+
+def _weight_newton_step(
+    outs: np.ndarray, weights: np.ndarray, anchor: np.ndarray, dvals: np.ndarray
+) -> np.ndarray:
+    """One Newton step towards D_i = chi on the support of ``weights``.
+
+    The output with the largest D_i joins the support if it is outside. The
+    anchored divergences are linearized with the Hessian of -tr(avg ln avg),
+    built from the divided differences of ln over the barycenter's spectrum,
+    and the equality-constrained system is solved in the least-squares sense.
+    A step that would push a weight below zero stops where the first one
+    reaches zero, which drops that output from the support.
+    """
+    support = np.flatnonzero(weights > WEIGHT_FLOOR)
+    worst = int(np.argmax(dvals))
+    if weights[worst] <= WEIGHT_FLOOR:
+        support = np.append(support, worst)
+    lam, v = np.linalg.eigh(_barycenter(outs, weights, anchor))
+    lam = np.clip(lam, LOG_FLOOR, None)
+    rot = v.conj().T @ outs[support] @ v
+    kernel = _log_mean_reciprocal(lam[:, None], lam[None, :])
+    hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, kernel).real
+    n = support.size
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = hess
+    kkt[n, n] = 0.0
+    delta = np.linalg.lstsq(kkt, np.append(-dvals[support], 0.0), rcond=None)[0][:n]
+    leaving = np.flatnonzero((delta < 0.0) & (weights[support] > WEIGHT_FLOOR))
+    reach = weights[support[leaving]] / -delta[leaving]
+    step = min(1.0, reach.min(initial=1.0))
+    q = np.zeros_like(weights)
+    q[support] = np.clip(weights[support] + step * delta, 0.0, None)
+    if step < 1.0:
+        q[support[leaving[np.argmin(reach)]]] = 0.0
+    return q / q.sum()
 
 
 def _ensemble_weights(
@@ -292,9 +365,14 @@ def _ensemble_weights(
 ):
     """Optimal weights over a fixed output alphabet.
 
-    Multiplicative updates with an SLSQP polish; maximizes the mixture
-    divergence (the restricted-alphabet capacity in nats). Returns
-    (weights, mixture divergence at those weights).
+    Maximizes the mixture divergence chi (the restricted-alphabet capacity in
+    nats) until the optimality gap max_i D_i - chi is at most ``tol``. Newton
+    steps on the support of the start equalize the D_i; if they leave a gap,
+    an SLSQP solve finds the support and Newton steps polish its result,
+    which SLSQP alone cannot do once the gains in chi fall below rounding. A
+    new point is kept only if its exact chi is above the start's; a Newton
+    step must also lower the gap or raise chi. Returns (weights, mixture
+    divergence at those weights).
     """
     m = outs.shape[0]
     if init is not None and len(init) == m and init.min() >= 0 and init.sum() > 0:
@@ -304,45 +382,55 @@ def _ensemble_weights(
         p = np.full(m, 1.0 / m)
     if m == 1:
         return p, 0.0
-    w_list = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-    self_terms = np.sum(w_list * np.log(np.clip(w_list, LOG_FLOOR, None)), axis=1)
+    self_terms = _output_self_terms(outs)
+
+    def chi_exact(weights: np.ndarray) -> float:
+        return float(weights @ _mixture_divergences(outs, weights, self_terms=self_terms))
 
     def divergences(weights: np.ndarray) -> np.ndarray:
-        avg = np.einsum("r,rij->ij", weights, outs)
-        avg = (1.0 - BARYCENTER_MIX) * avg + BARYCENTER_MIX * floor_state
-        ln_avg = _log_matrix(avg)
-        return self_terms - np.einsum("rbc,cb->r", outs, ln_avg).real
+        return _mixture_divergences(outs, weights, floor_state, self_terms)
 
-    reached = False
-    for _ in range(200):
-        dvals = divergences(p)
-        chi = float(p @ dvals)
-        if dvals.max() - chi <= tol:
-            reached = True
-            break
-        p = p * np.exp(dvals - dvals.max())
-        p /= p.sum()
-    if not reached:
-        def neg_chi(q):
-            dvals = divergences(q)
-            return -float(q @ dvals), 1.0 - dvals
+    chi_start = chi_exact(p)
 
-        res = optimize.minimize(
-            neg_chi,
-            p,
-            jac=True,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * m,
-            constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(m)}],
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        q = np.clip(res.x, 0.0, None)
-        if q.sum() > 0:
-            q /= q.sum()
-            if _mixture_divergence(outs, q) > _mixture_divergence(outs, p):
-                p = q
-    chi_exact = _mixture_divergence(outs, p)
-    return p, chi_exact
+    def newton(p, chi, dvals):
+        gap = dvals.max() - float(p @ dvals)
+        for _ in range(4):
+            if gap <= tol:
+                break
+            q = _weight_newton_step(outs, p, floor_state, dvals)
+            dvals_q = divergences(q)
+            gap_q = dvals_q.max() - float(q @ dvals_q)
+            chi_q = chi_exact(q)
+            if chi_q <= chi_start or (gap_q >= gap and chi_q <= chi):
+                break
+            p, chi, dvals, gap = q, chi_q, dvals_q, gap_q
+        return p, chi, dvals, gap
+
+    p, chi, dvals, gap = newton(p, chi_start, divergences(p))
+    if gap <= tol:
+        return p, chi
+
+    def neg_chi(q):
+        dvals = divergences(q)
+        return -float(q @ dvals), 1.0 - dvals
+
+    res = optimize.minimize(
+        neg_chi,
+        p,
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * m,
+        constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(m)}],
+        options={"maxiter": 200, "ftol": 1e-14},
+    )
+    q = np.clip(res.x, 0.0, None)
+    if q.sum() > 0:
+        q /= q.sum()
+        chi_q = chi_exact(q)
+        if chi_q > chi:
+            p, chi, dvals = q, chi_q, divergences(q)
+    p, chi, _, _ = newton(p, chi, dvals)
+    return p, chi
 
 
 def _improve_positions(
@@ -359,10 +447,7 @@ def _improve_positions(
     if len(witnesses) < 2:
         return witnesses, weights, chi
     for _ in range(sweeps):
-        outs = _batch_outputs(channel, witnesses)
-        avg = np.einsum("r,rij->ij", weights, outs)
-        avg = (1.0 - BARYCENTER_MIX) * avg + BARYCENTER_MIX * anchor
-        ln_avg = _log_matrix(avg)
+        ln_avg = _log_matrix(_barycenter(_batch_outputs(channel, witnesses), weights, anchor))
         grads = _batch_divergence_grads(channel, ln_avg, witnesses)
         overlap = np.einsum("ri,ri->r", witnesses.conj(), grads)
         tangent = grads - overlap[:, None] * witnesses
@@ -374,7 +459,8 @@ def _improve_positions(
         while step >= 1e-10:
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            chi_cand = _mixture_divergence(_batch_outputs(channel, cand), weights)
+            cand_outs = _batch_outputs(channel, cand)
+            chi_cand = float(weights @ _mixture_divergences(cand_outs, weights))
             if chi_cand >= chi + ARMIJO * step * slope:
                 witnesses = cand
                 chi = chi_cand
@@ -445,14 +531,11 @@ def holevo_quantity(
         if gap <= tol:
             converged = True
             break
-        keep = weights > 1e-14
+        keep = weights > WEIGHT_FLOOR
         if keep.sum() and not keep.all():
             witnesses = witnesses[keep]
             weights = weights[keep] / weights[keep].sum()
-        outs = _batch_outputs(channel, witnesses)
-        sigma = (1.0 - BARYCENTER_MIX) * np.einsum(
-            "r,rij->ij", weights, outs
-        ) + BARYCENTER_MIX * image_anchor
+        sigma = _barycenter(_batch_outputs(channel, witnesses), weights, image_anchor)
     return CapacityEstimate(
         value_nats=max(0.0, value_best),
         gap_bound=gap,
@@ -461,6 +544,12 @@ def holevo_quantity(
         witnesses=list(witnesses),
         barycenter=sigma_best,
     )
+
+
+def depolarizing_grid(d: int = 2, points: int = 81) -> list[float]:
+    """Uniform grid over the completely positive range [0, d^2/(d^2-1)], plus 0.999."""
+    p_max = d * d / (d * d - 1.0)
+    return sorted(set(float(p) for p in np.linspace(0.0, p_max, points)) | {0.999})
 
 
 def depolarizing_capacity_sweep(
@@ -478,8 +567,7 @@ def depolarizing_capacity_sweep(
     where the Holevo quantity falls below 1e-9 bits (0/0 region).
     """
     if p_grid is None:
-        p_max = d * d / (d * d - 1.0)
-        p_grid = sorted(set(float(p) for p in np.linspace(0.0, p_max, 81)) | {0.999})
+        p_grid = depolarizing_grid(d)
     rows = []
     for p in p_grid:
         chan = depolarizing_channel(d, float(p))

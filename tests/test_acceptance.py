@@ -155,11 +155,12 @@ def test_criterion_5_ratio_bound_fuzzing():
                 chan = random_channel(d_in, d_out, seed=(6000 + index, trial))
                 check = verify_ratio_bound(chan, tol=tol, seed=(7000 + index, trial))
                 assert check.slack_bits >= threshold, (d_in, d_out, trial, check)
+                assert check.ce_converged and check.ch_converged, (d_in, d_out, trial, check)
                 min_slack = min(min_slack, check.slack_bits)
             index += 1
     print(
-        f"\nACCEPTANCE 5 PASS: 200 random channels satisfy the strengthened "
-        f"ratio bound (min slack {min_slack:.4f} bits >= {threshold:.2e})"
+        f"\nACCEPTANCE 5 PASS: 200 random channels converge and satisfy the "
+        f"strengthened ratio bound (min slack {min_slack:.4f} bits >= {threshold:.2e})"
     )
 
 

@@ -8,13 +8,24 @@ from chancap import (
     entanglement_assisted_capacity,
     holevo_quantity,
     identity_channel,
+    max_output_divergence,
     mutual_information_gradient,
     random_channel,
     random_density_matrix,
+    random_pure_state,
     replacement_channel,
     seeded_rng,
 )
-from chancap.capacity import LN2, _mutual_information_nats
+from chancap.capacity import (
+    LN2,
+    _batch_outputs,
+    _batch_values,
+    _ensemble_weights,
+    _log_matrix,
+    _mixture_divergences,
+    _mutual_information_nats,
+    _sphere_ascent,
+)
 
 # closed forms for the depolarizing family, derived independently of the solvers:
 # the assisted value comes from the maximally mixed input (the covariant
@@ -126,6 +137,51 @@ class TestHolevoQuantity:
             assert -1e-6 <= ch.value_bits <= math.log2(min(din, dout)) + 1e-6
             ce = entanglement_assisted_capacity(chan)
             assert -1e-6 <= ce.value_bits <= 2 * math.log2(min(din, dout)) + 1e-6
+
+
+class TestInnerSolvers:
+    def test_max_output_divergence_depolarizing(self):
+        # every pure input leaves the spectrum (1 - p/2, p/2), so the supremum
+        # against I/2 is ln 2 minus the binary entropy of p/2 in nats
+        for p in (0.1, 0.5, 0.9, 1.2):
+            value, _ = max_output_divergence(depolarizing_channel(2, p), np.eye(2) / 2)
+            q = p / 2.0
+            expected = math.log(2.0) + q * math.log(q) + (1.0 - q) * math.log(1.0 - q)
+            assert abs(value - expected) <= 1e-9
+
+    def test_sphere_ascent_never_lowers_a_row(self):
+        for trial in range(6):
+            din, dout = [(2, 2), (2, 3), (3, 2)][trial % 3]
+            chan = random_channel(din, dout, seed=(50, trial))
+            ln_sigma = _log_matrix(random_density_matrix(dout, dout, (51, trial)))
+            g = seeded_rng(52, trial)
+            starts = g.standard_normal((16, din)) + 1j * g.standard_normal((16, din))
+            psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+            vals, _ = _sphere_ascent(chan, ln_sigma, starts)
+            assert np.all(vals >= _batch_values(chan, ln_sigma, psi))
+
+    def test_ensemble_weights_close_the_gap_on_degenerate_alphabets(self):
+        # five qubit outputs (more than d_out^2 = 4) leave chi linear along
+        # barycenter-preserving directions; two witnesses with overlap
+        # 1 - 1e-9 make the optimality system nearly singular
+        for trial in range(6):
+            chan = random_channel(2, 2, seed=(60, trial))
+            anchor = chan.apply(np.eye(2) / 2)
+            crowded = np.array([random_pure_state(2, (61, trial, i)) for i in range(5)])
+            a = crowded[0]
+            perp = np.array([-a[1].conj(), a[0].conj()])
+            b = math.sqrt(1.0 - 1e-9) * a + math.sqrt(1e-9) * perp
+            assert abs(abs(np.vdot(a, b)) ** 2 - (1.0 - 1e-9)) < 1e-15
+            twins = np.array([a, b, crowded[1], crowded[2]])
+            for states in (crowded, twins):
+                outs = _batch_outputs(chan, states)
+                uniform = np.full(len(states), 1.0 / len(states))
+                weights, chi = _ensemble_weights(outs, anchor, 1e-11)
+                dvals = _mixture_divergences(outs, weights)
+                assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
+                assert chi == float(weights @ dvals)
+                assert chi > float(uniform @ _mixture_divergences(outs, uniform))
+                assert dvals.max() - chi <= 1e-9
 
 
 class TestSolverProperties:

@@ -34,14 +34,10 @@ from .channels import (
 from .entropy import (
     RelEntropyResult,
     dominance_constant,
-    donald_residual,
     log_derivative_form,
-    log_derivative_form_via_quadrature,
     lower_bound_factor,
     mutual_information,
-    purify,
     relative_entropy,
-    relative_entropy_via_integral,
     von_neumann_entropy,
 )
 from .linalg import (

@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from .channels import QuantumChannel, depolarizing_channel
-from .entropy import _log_mean_reciprocal
-from .linalg import seeded_rng
+from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
+from .entropy import mutual_information
+from .linalg import log_divided_differences, log_matrix, seeded_rng, trace_xlogx
 
 LN2 = float(np.log(2.0))
 DEFAULT_TOL = 1e-7
@@ -29,7 +29,6 @@ DEFAULT_MAX_ITER = 5000
 DEFAULT_RESTARTS = 32
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-8
-LOG_FLOOR = 1e-30
 BARYCENTER_MIX = 1e-12
 RATIO_CUTOFF_BITS = 1e-9
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
@@ -59,37 +58,6 @@ class SweepPoint(NamedTuple):
     ratio: float | None
 
 
-def _clamped_log_eigh(m: np.ndarray):
-    """Eigendecomposition with eigenvalues floored for safe logarithms."""
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return w, np.log(np.clip(w, LOG_FLOOR, None)), v
-
-
-def _log_matrix(m: np.ndarray) -> np.ndarray:
-    _, logs, v = _clamped_log_eigh(m)
-    return (v * logs) @ v.conj().T
-
-
-def _entropy_from_eigs(w: np.ndarray) -> float:
-    w = w[w > 0]
-    return float(-np.sum(w * np.log(w)))
-
-
-def _environment_gram(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Environment output W with W[j, k] = tr(K_j rho K_k^dagger)."""
-    a = channel.kraus @ rho
-    return np.einsum("jbc,kbc->jk", a, channel.kraus.conj())
-
-
-def _mutual_information_nats(channel: QuantumChannel, rho: np.ndarray) -> float:
-    """Objective S(rho) + S(T(rho)) - S(W) (equal to the divergence form)."""
-    w_in = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    w_out = np.clip(np.linalg.eigvalsh(channel.apply(rho)), 0.0, None)
-    w_env = np.clip(np.linalg.eigvalsh(_environment_gram(channel, rho)), 0.0, None)
-    return _entropy_from_eigs(w_in) + _entropy_from_eigs(w_out) - _entropy_from_eigs(w_env)
-
-
 def _adjoint_apply(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
     """Adjoint map sum_j K_j^dagger X K_j."""
     z = np.einsum("mbi,bc->mic", channel.kraus.conj(), x)
@@ -106,9 +74,9 @@ def mutual_information_gradient(channel: QuantumChannel, rho: np.ndarray) -> np.
     d = channel.d_in
     if float(np.linalg.eigvalsh(rho)[0]) < 1e-12:
         rho = (rho + 1e-12 * np.eye(d) / d) / (1.0 + 1e-12)
-    ln_rho = _log_matrix(rho)
-    ln_out = _log_matrix(channel.apply(rho))
-    ln_env = _log_matrix(_environment_gram(channel, rho))
+    ln_rho = log_matrix(rho)
+    ln_out = log_matrix(channel.apply(rho))
+    ln_env = log_matrix(channel.apply_complementary(rho))
     z = np.einsum("kj,kbi->jbi", ln_env, channel.kraus.conj())
     env_term = np.einsum("jbi,jbl->il", z, channel.kraus)
     grad = -ln_rho - _adjoint_apply(channel, ln_out) + env_term - np.eye(d)
@@ -137,7 +105,7 @@ def entanglement_assisted_capacity(
     d = channel.d_in
     h = np.zeros((d, d), dtype=complex)
     rho = np.eye(d, dtype=complex) / d
-    value = _mutual_information_nats(channel, rho)
+    value = mutual_information(channel, rho)
     gap = float("inf")
     iterations = 0
     converged = False
@@ -152,7 +120,7 @@ def entanglement_assisted_capacity(
         while step >= STEP_FLOOR:
             h_try = h + step * grad
             rho_try = _state_from_logits(h_try)
-            value_try = _mutual_information_nats(channel, rho_try)
+            value_try = mutual_information(channel, rho_try)
             gain = float(np.trace(grad @ (rho_try - rho)).real)
             if value_try >= value + ARMIJO * gain:
                 h, rho, value = h_try, rho_try, value_try
@@ -176,30 +144,23 @@ def entanglement_assisted_capacity(
     )
 
 
-def _batch_outputs(channel: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    amps = np.einsum("mbi,ri->rmb", channel.kraus, states)
-    return np.einsum("rmb,rmc->rbc", amps, amps.conj())
-
-
-def _output_self_terms(outs: np.ndarray) -> np.ndarray:
-    """tr(out ln out) for each output in a batch, with floored logs."""
-    w = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-    return np.sum(w * np.log(np.clip(w, LOG_FLOOR, None)), axis=1)
+def _divergences(outs: np.ndarray, ln_sigma: np.ndarray, self_terms=None) -> np.ndarray:
+    """D(out_i || sigma) for a stack of outputs; ``self_terms`` may cache trace_xlogx(outs)."""
+    if self_terms is None:
+        self_terms = trace_xlogx(outs)
+    return self_terms - np.einsum("rbc,cb->r", outs, ln_sigma).real
 
 
 def _batch_values(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
-    outs = _batch_outputs(channel, states)
-    return _output_self_terms(outs) - np.einsum("rbc,cb->r", outs, ln_sigma).real
+    return _divergences(pure_outputs(channel, states), ln_sigma)
 
 
-def _batch_divergence_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
-    """Wirtinger gradients of D(T(psi psi*)||sigma) for a batch of unit vectors."""
+def _batch_divergence_grads(
+    channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray, outs: np.ndarray
+):
+    """Wirtinger gradients of D(T(psi psi*)||sigma) for unit vectors with outputs ``outs``."""
     amps = np.einsum("mbi,ri->rmb", channel.kraus, states)
-    outs = np.einsum("rmb,rmc->rbc", amps, amps.conj())
-    w, v = np.linalg.eigh(outs)
-    logs = np.log(np.clip(w, LOG_FLOOR, None))
-    ln_outs = (v * logs[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    x = ln_outs - ln_sigma[None, :, :]
+    x = log_matrix(outs) - ln_sigma[None, :, :]
     z = np.einsum("rbc,rmc->rmb", x, amps)
     return np.einsum("rmb,mbi->ri", z, channel.kraus.conj())
 
@@ -231,9 +192,10 @@ def _sphere_ascent(
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        grads = _batch_divergence_grads(channel, ln_sigma, psi[idx])
-        overlap = np.einsum("ri,ri->r", psi[idx].conj(), grads)
-        tangent = grads - overlap[:, None] * psi[idx]
+        rows = psi[idx]
+        grads = _batch_divergence_grads(channel, ln_sigma, rows, pure_outputs(channel, rows))
+        overlap = np.einsum("ri,ri->r", rows.conj(), grads)
+        tangent = grads - overlap[:, None] * rows
         norms = np.linalg.norm(tangent, axis=1)
         done = norms <= grad_tol
         active[idx[done]] = False
@@ -289,7 +251,7 @@ def max_output_divergence(
     starts = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
     if extra_starts is not None and len(extra_starts):
         starts = np.concatenate([np.asarray(extra_starts, dtype=complex), starts])
-    ln_sigma = _log_matrix(np.asarray(sigma, dtype=complex))
+    ln_sigma = log_matrix(np.asarray(sigma, dtype=complex))
     vals, psi = _sphere_ascent(channel, ln_sigma, starts, max_steps=max_steps, grad_tol=grad_tol)
     best = int(np.argmax(vals))
     return float(vals[best]), psi[best]
@@ -312,13 +274,9 @@ def _mixture_divergences(
     """Divergences D_i = D(out_i || barycenter) with floored logs.
 
     Without an anchor, ``weights @ D`` is the ensemble mixture divergence, a
-    valid lower bound on the Holevo quantity. ``self_terms`` caches
-    ``_output_self_terms(outs)`` across calls on one alphabet.
+    valid lower bound on the Holevo quantity.
     """
-    if self_terms is None:
-        self_terms = _output_self_terms(outs)
-    ln_avg = _log_matrix(_barycenter(outs, weights, anchor))
-    return self_terms - np.einsum("rbc,cb->r", outs, ln_avg).real
+    return _divergences(outs, log_matrix(_barycenter(outs, weights, anchor)), self_terms)
 
 
 def _weight_newton_step(
@@ -338,10 +296,8 @@ def _weight_newton_step(
     if weights[worst] <= WEIGHT_FLOOR:
         support = np.append(support, worst)
     lam, v = np.linalg.eigh(_barycenter(outs, weights, anchor))
-    lam = np.clip(lam, LOG_FLOOR, None)
     rot = v.conj().T @ outs[support] @ v
-    kernel = _log_mean_reciprocal(lam[:, None], lam[None, :])
-    hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, kernel).real
+    hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, log_divided_differences(lam)).real
     n = support.size
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = hess
@@ -382,7 +338,7 @@ def _ensemble_weights(
         p = np.full(m, 1.0 / m)
     if m == 1:
         return p, 0.0
-    self_terms = _output_self_terms(outs)
+    self_terms = trace_xlogx(outs)
 
     def chi_exact(weights: np.ndarray) -> float:
         return float(weights @ _mixture_divergences(outs, weights, self_terms=self_terms))
@@ -436,6 +392,7 @@ def _ensemble_weights(
 def _improve_positions(
     channel: QuantumChannel,
     witnesses: np.ndarray,
+    outs: np.ndarray,
     weights: np.ndarray,
     chi: float,
     anchor: np.ndarray,
@@ -443,12 +400,13 @@ def _improve_positions(
     sweeps: int = 3,
 ):
     """Move witness states along divergence-ascent tangents, line-searched on
-    the ensemble mixture divergence so the lower bound never decreases."""
+    the ensemble mixture divergence so the lower bound never decreases. The
+    outputs ``outs`` of the witnesses are returned updated with them."""
     if len(witnesses) < 2:
-        return witnesses, weights, chi
+        return witnesses, outs, weights, chi
     for _ in range(sweeps):
-        ln_avg = _log_matrix(_barycenter(_batch_outputs(channel, witnesses), weights, anchor))
-        grads = _batch_divergence_grads(channel, ln_avg, witnesses)
+        ln_avg = log_matrix(_barycenter(outs, weights, anchor))
+        grads = _batch_divergence_grads(channel, ln_avg, witnesses, outs)
         overlap = np.einsum("ri,ri->r", witnesses.conj(), grads)
         tangent = grads - overlap[:, None] * witnesses
         slope = float(weights @ np.linalg.norm(tangent, axis=1) ** 2)
@@ -459,21 +417,18 @@ def _improve_positions(
         while step >= 1e-10:
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cand_outs = _batch_outputs(channel, cand)
+            cand_outs = pure_outputs(channel, cand)
             chi_cand = float(weights @ _mixture_divergences(cand_outs, weights))
             if chi_cand >= chi + ARMIJO * step * slope:
-                witnesses = cand
-                chi = chi_cand
+                witnesses, outs, chi = cand, cand_outs, chi_cand
                 moved = True
                 break
             step /= 2.0
         if not moved:
             break
-        weights, chi_new = _ensemble_weights(
-            _batch_outputs(channel, witnesses), anchor, ba_tol, init=weights
-        )
+        weights, chi_new = _ensemble_weights(outs, anchor, ba_tol, init=weights)
         chi = max(chi, chi_new)
-    return witnesses, weights, chi
+    return witnesses, outs, weights, chi
 
 
 def holevo_quantity(
@@ -509,7 +464,7 @@ def holevo_quantity(
         g = seeded_rng(seed, iterations)
         fresh = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
         starts = np.concatenate([witnesses, fresh]) if len(witnesses) else fresh
-        ln_sigma = _log_matrix(sigma)
+        ln_sigma = log_matrix(sigma)
         vals, states = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
         best = int(np.argmax(vals))
         value = float(vals[best])
@@ -518,13 +473,13 @@ def holevo_quantity(
             sigma_best = sigma
         if not any(abs(np.vdot(states[best], wv)) ** 2 >= 1.0 - 1e-10 for wv in witnesses):
             witnesses = np.concatenate([witnesses, states[best][None, :]])
-        outs = _batch_outputs(channel, witnesses)
+        outs = pure_outputs(channel, witnesses)
         init = None
         if len(weights) and len(weights) + 1 == len(witnesses):
             init = np.concatenate([weights * (1.0 - 1.0 / len(witnesses)), [1.0 / len(witnesses)]])
         weights, chi = _ensemble_weights(outs, image_anchor, ba_tol, init=init)
-        witnesses, weights, chi = _improve_positions(
-            channel, witnesses, weights, chi, image_anchor, ba_tol
+        witnesses, outs, weights, chi = _improve_positions(
+            channel, witnesses, outs, weights, chi, image_anchor, ba_tol
         )
         chi_best = max(chi_best, chi)
         gap = value_best - chi_best
@@ -533,9 +488,9 @@ def holevo_quantity(
             break
         keep = weights > WEIGHT_FLOOR
         if keep.sum() and not keep.all():
-            witnesses = witnesses[keep]
+            witnesses, outs = witnesses[keep], outs[keep]
             weights = weights[keep] / weights[keep].sum()
-        sigma = _barycenter(_batch_outputs(channel, witnesses), weights, image_anchor)
+        sigma = _barycenter(outs, weights, image_anchor)
     return CapacityEstimate(
         value_nats=max(0.0, value_best),
         gap_bound=gap,
@@ -548,7 +503,7 @@ def holevo_quantity(
 
 def depolarizing_grid(d: int = 2, points: int = 81) -> list[float]:
     """Uniform grid over the completely positive range [0, d^2/(d^2-1)], plus 0.999."""
-    p_max = d * d / (d * d - 1.0)
+    p_max = depolarizing_cp_limit(d)
     return sorted(set(float(p) for p in np.linspace(0.0, p_max, points)) | {0.999})
 
 

@@ -24,12 +24,12 @@ from .capacity import (
     holevo_quantity,
     max_output_divergence,
 )
-from .channels import QuantumChannel
-from .entropy import log_derivative_form, lower_bound_factor, relative_entropy
-from .linalg import SchmidtDecomposition, schmidt_decompose
+from .channels import QuantumChannel, pure_outputs
+from .entropy import log_derivative_form, lower_bound_factor, mutual_information, relative_entropy
+from .linalg import SchmidtDecomposition, check_density_matrix, partial_trace, schmidt_decompose
 
 CHAIN_TOL = 1e-7  # nats; all chain quantities are closed-form eigenbasis evaluations
-COND_TOL = 1e-9
+PURE_STATE_TOL = 1e-8  # allowed deviation of a pure input's norm or purity from 1
 
 
 @dataclass
@@ -108,6 +108,27 @@ def superposition_family(basis: np.ndarray):
             yield (k, l, a), superposition_state(basis, k, l, a)
 
 
+def _family_outputs(channel: QuantumChannel, basis: np.ndarray):
+    """Outputs of the basis vectors, then of ``superposition_family(basis)``, as one
+    stack, with the (k, l) pair of each superposition."""
+    family = list(superposition_family(basis))
+    vectors = np.array([*basis.T, *(vec for _, vec in family)])
+    return [(k, l) for (k, l, _), _ in family], pure_outputs(channel, vectors)
+
+
+def _family_barycenter(proj_outs: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
+    # basis output k carries alpha_k^2 plus its share 2 (alpha_k^2 + alpha_l^2)
+    # of the four superpositions of each pair (k, l), l != k
+    d = len(alpha2)
+    weights = (2 * d - 3) * alpha2 + 2.0 * alpha2.sum()
+    return np.einsum("k,kij->ij", weights, proj_outs) / family_total_weight(d)
+
+
+def _margins(outs: np.ndarray, sigma: np.ndarray, d: int) -> list[float]:
+    anchor = barycenter_dominance(d) * np.asarray(sigma, dtype=complex)
+    return [float(m) for m in np.linalg.eigvalsh(anchor - outs)[:, 0]]
+
+
 def output_barycenter(channel: QuantumChannel, sd: SchmidtDecomposition) -> np.ndarray:
     """Weighted average of channel outputs over the Schmidt-basis state family.
 
@@ -121,15 +142,8 @@ def output_barycenter(channel: QuantumChannel, sd: SchmidtDecomposition) -> np.n
         raise ValueError(
             f"basis dimension {d} does not match channel input dimension {channel.d_in}"
         )
-    alpha2 = np.zeros(d)
-    alpha2[: sd.coefficients.shape[0]] = sd.coefficients**2
-    total = family_total_weight(d)
-    acc = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-    for k in range(d):
-        proj_out = channel.apply(np.outer(basis[:, k], basis[:, k].conj()))
-        weight = alpha2[k] + 2.0 * sum(alpha2[k] + alpha2[l] for l in range(d) if l != k)
-        acc += weight * proj_out
-    return acc / total
+    alpha2 = np.pad(sd.coefficients**2, (0, d - sd.coefficients.size))
+    return _family_barycenter(pure_outputs(channel, basis.T), alpha2)
 
 
 def support_margins(
@@ -141,31 +155,29 @@ def support_margins(
     ordered pairs; every entry must be >= -1e-9 for the dominance certificate.
     """
     basis = sd.basis_right
-    d = basis.shape[1]
-    k_dom = barycenter_dominance(d)
-    anchor = k_dom * np.asarray(sigma, dtype=complex)
-    margins = []
-    for k in range(d):
-        out = channel.apply(np.outer(basis[:, k], basis[:, k].conj()))
-        margins.append(float(np.linalg.eigvalsh(anchor - out)[0]))
-    for _, vec in superposition_family(basis):
-        out = channel.apply(np.outer(vec, vec.conj()))
-        margins.append(float(np.linalg.eigvalsh(anchor - out)[0]))
-    return margins
+    _, outs = _family_outputs(channel, basis)
+    return _margins(outs, sigma, basis.shape[1])
 
 
-def _as_pure_vector(state, d_sq: int) -> np.ndarray:
+def _pure_vector(state, d: int) -> np.ndarray:
+    """Unit vector of a pure input: a unit vector of length d^2 (renormalized), or a
+    d^2 x d^2 density matrix of purity one, both within PURE_STATE_TOL."""
+    n = d * d
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        if state.shape[0] != d_sq:
-            raise ValueError(f"state vector length {state.shape[0]}, expected {d_sq}")
-        return state
-    if state.ndim == 2 and state.shape == (d_sq, d_sq):
-        w, v = np.linalg.eigh(state)
-        if abs(np.trace(state @ state).real - 1.0) > 1e-8:
+    if state.shape == (n, n):
+        try:
+            check_density_matrix(state)
+        except ValueError as exc:
+            raise ValueError(f"pure state required: {exc}") from exc
+        if abs(np.trace(state @ state).real - 1.0) > PURE_STATE_TOL:
             raise ValueError("pure state required")
-        return v[:, -1]
-    raise ValueError(f"state must be a vector or square matrix of dimension {d_sq}")
+        return np.linalg.eigh(state)[1][:, -1]
+    if state.shape != (n,):
+        raise ValueError(f"state of shape {state.shape} is neither a length-{n} vector nor {n}x{n}")
+    nrm = np.linalg.norm(state)
+    if not abs(nrm - 1.0) <= PURE_STATE_TOL:  # also rejects non-finite entries
+        raise ValueError(f"state vector is not normalized (norm {nrm!r})")
+    return state / nrm
 
 
 def chain_report(
@@ -188,58 +200,50 @@ def chain_report(
     d = channel.d_in
     if d < 2:
         raise ValueError("the bound chain is defined for input dimension >= 2")
-    v = _as_pure_vector(state, d * d)
+    v = _pure_vector(state, d)
     sd = schmidt_decompose(v, (d, d))
-    basis = sd.basis_right
-    alpha2 = np.zeros(d)
-    alpha2[: sd.coefficients.shape[0]] = sd.coefficients**2
+    alpha2 = np.pad(sd.coefficients**2, (0, d - sd.coefficients.size))
+    pairs, outs = _family_outputs(channel, sd.basis_right)
+    proj_outs, family_outs = outs[:d], outs[d:]
 
-    sigma = output_barycenter(channel, sd)
+    sigma = _family_barycenter(proj_outs, alpha2)
     k_dom = barycenter_dominance(d)
     total = family_total_weight(d)
     g = lower_bound_factor(k_dom)
-    margins = support_margins(channel, sd, sigma)
+    margins = _margins(outs, sigma, d)
 
+    # the auxiliary factor is the first one; the channel acts on the second
     rho = np.outer(v, v.conj())
-    # marginals of the pure input; the auxiliary factor sits on the row index
-    rho_left = np.einsum("ab,cb->ac", v.reshape(d, d), v.conj().reshape(d, d))
-    rho_right = np.einsum("ba,bc->ac", v.reshape(d, d), v.conj().reshape(d, d))
     joint = channel.apply_extended(rho)
-
-    mutual = relative_entropy(joint, np.kron(rho_left, channel.apply(rho_right))).value
-    reference = np.kron(rho_left, sigma)
+    mutual = mutual_information(channel, partial_trace(rho, 1, (d, d)))
+    reference = np.kron(partial_trace(rho, 0, (d, d)), sigma)
     anchored = relative_entropy(joint, reference).value
     quadratic = log_derivative_form(reference, joint - reference)
-
-    proj_outs = [
-        channel.apply(np.outer(basis[:, k], basis[:, k].conj())) for k in range(d)
-    ]
-    family = list(superposition_family(basis))
-    family_outs = [channel.apply(np.outer(vec, vec.conj())) for _, vec in family]
 
     decomposed = sum(
         alpha2[k] * log_derivative_form(sigma, proj_outs[k] - sigma) for k in range(d)
     )
     decomposed += 0.5 * sum(
         max(alpha2[k], alpha2[l]) * log_derivative_form(sigma, out - sigma)
-        for ((k, l, _), _), out in zip(family, family_outs)
+        for (k, l), out in zip(pairs, family_outs)
     )
 
-    entropy_sum = sum(
-        alpha2[k] * relative_entropy(proj_outs[k], sigma).value for k in range(d)
-    )
+    at_sigma = [relative_entropy(out, sigma).value for out in outs]
+    entropy_sum = sum(alpha2[k] * at_sigma[k] for k in range(d))
     entropy_sum += 0.5 * sum(
-        (alpha2[k] + alpha2[l]) * relative_entropy(out, sigma).value
-        for ((k, l, _), _), out in zip(family, family_outs)
+        (alpha2[k] + alpha2[l]) * div for (k, l), div in zip(pairs, at_sigma[d:])
     )
     entropy_bound = entropy_sum / g
 
-    tau = sigma if tau is None else np.asarray(tau, dtype=complex)
+    if tau is None:
+        tau, at_tau = sigma, at_sigma
+    else:
+        tau = np.asarray(tau, dtype=complex)
+        at_tau = [relative_entropy(out, tau).value for out in outs]
     sup_value, _ = max_output_divergence(
         channel, tau, restarts=sup_restarts, seed=sup_seed
     )
-    family_at_tau = [relative_entropy(out, tau).value for out in proj_outs + family_outs]
-    capacity_bound = (total / g) * max([sup_value] + family_at_tau)
+    capacity_bound = (total / g) * max([sup_value] + at_tau)
 
     chain = (mutual, anchored, quadratic, decomposed, entropy_bound, capacity_bound)
     monotone = all(chain[i] <= chain[i + 1] + tol for i in range(len(chain) - 1))

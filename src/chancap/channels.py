@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eig, partial_trace, seeded_rng
+from .linalg import hermitian_eig, maximally_entangled_state, partial_trace, seeded_rng
 
 TRACE_PRESERVING_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
@@ -52,6 +52,11 @@ class QuantumChannel:
             raise ValueError(f"state shape {rho.shape} does not match input dimension {self.d_in}")
         return np.einsum("mbi,ij,mcj->bc", self.kraus, rho, self.kraus.conj())
 
+    def apply_complementary(self, rho: np.ndarray) -> np.ndarray:
+        """Environment output W with W[j, k] = tr(K_j rho K_k^dagger)."""
+        a = self.kraus @ rho
+        return np.einsum("jbc,kbc->jk", a, self.kraus.conj())
+
     def apply_extended(self, rho: np.ndarray) -> np.ndarray:
         """Action of id (x) T on a state of an auxiliary copy of the input paired with it."""
         d = self.d_in
@@ -66,9 +71,7 @@ class QuantumChannel:
 
     def choi(self) -> np.ndarray:
         """Normalized Choi state: id (x) T applied to the maximally entangled state."""
-        d = self.d_in
-        omega = np.zeros(d * d, dtype=complex)
-        omega[:: d + 1] = 1.0 / np.sqrt(d)
+        omega = maximally_entangled_state(self.d_in)
         return self.apply_extended(np.outer(omega, omega.conj()))
 
     def check_complete_positivity(self, tol: float = CHOI_PSD_TOL) -> float:
@@ -79,8 +82,19 @@ class QuantumChannel:
         return lam_min
 
 
+def pure_outputs(channel: QuantumChannel, states: np.ndarray) -> np.ndarray:
+    """Outputs T(psi psi^dagger) for a stack of input vectors psi, one per row."""
+    amps = np.einsum("mbi,ri->rmb", channel.kraus, states)
+    return np.einsum("rmb,rmc->rbc", amps, amps.conj())
+
+
 def identity_channel(d: int) -> QuantumChannel:
     return QuantumChannel(np.eye(d, dtype=complex)[None, :, :])
+
+
+def depolarizing_cp_limit(d: int) -> float:
+    """Largest mixing weight d^2/(d^2 - 1) at which the depolarizing map is completely positive."""
+    return d * d / (d * d - 1.0)
 
 
 def depolarizing_channel(d: int, p: float) -> QuantumChannel:
@@ -91,12 +105,11 @@ def depolarizing_channel(d: int, p: float) -> QuantumChannel:
     """
     if d < 2:
         raise ValueError("depolarizing channel needs dimension >= 2")
-    p_max = d * d / (d * d - 1.0)
+    p_max = depolarizing_cp_limit(d)
     if not 0.0 <= p <= p_max + 1e-12:
         raise ValueError(f"p={p} outside the completely positive range [0, {p_max}]")
     dd = d * d
-    omega = np.zeros(dd, dtype=complex)
-    omega[:: d + 1] = 1.0 / np.sqrt(d)
+    omega = maximally_entangled_state(d)
     choi = (1.0 - p) * np.outer(omega, omega.conj()) + (p / dd) * np.eye(dd)
     return kraus_from_choi(choi, d, d)
 

@@ -234,40 +234,25 @@ def cmd_verify_sandwich(args) -> int:
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
-def _parse_state(spec: str, dim_sq: int) -> np.ndarray:
+def _parse_state(spec: str, d: int) -> np.ndarray:
+    """The ``--state`` spec as an array; ``certify.chain_report`` validates it."""
     if spec == "max-entangled":
-        d = int(round(np.sqrt(dim_sq)))
-        v = np.zeros(dim_sq, dtype=complex)
-        v[:: d + 1] = 1.0 / np.sqrt(d)
-        return v
+        return linalg.maximally_entangled_state(d)
     if spec.startswith("random:"):
-        return linalg.random_pure_state(dim_sq, int(spec.split(":", 1)[1]))
-    raw = json.loads(spec)
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 3 or (arr.ndim == 2 and arr.shape[0] == arr.shape[1] == dim_sq):
-        raise ValueError("pure state required")
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        vec = arr[:, 0] + 1j * arr[:, 1]
-    elif arr.ndim == 1:
-        vec = arr.astype(complex)
-    else:
-        raise ValueError("state JSON must be a vector of numbers or [re, im] pairs")
-    if vec.shape[0] != dim_sq:
-        raise ValueError(f"state vector length {vec.shape[0]}, expected {dim_sq}")
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state vector is not normalized (norm {nrm!r})")
-    return vec / nrm
+        return linalg.random_pure_state(d * d, int(spec.split(":", 1)[1]))
+    arr = np.asarray(json.loads(spec), dtype=float)
+    if arr.ndim == 2 and arr.shape[1] == 2:  # [re, im] pairs
+        return arr[:, 0] + 1j * arr[:, 1]
+    return arr
 
 
 def cmd_chain(args) -> int:
     cfg = _config_from_args(args)
     chan = _load_channel(args, cfg)
-    state = _parse_state(args.state, chan.d_in**2)
+    state = _parse_state(args.state, chan.d_in)
     report = certify.chain_report(
         chan, state, sup_restarts=cfg.restarts, sup_seed=cfg.seed
     )
-    ln2 = float(np.log(2.0))
     names = [
         "mutual_info",
         "reference_divergence",
@@ -278,7 +263,7 @@ def cmd_chain(args) -> int:
     ]
     lines = ["quantity,nats,bits"]
     for name, nats in zip(names, report.chain()):
-        lines.append(f"{name},{fmt(nats)},{fmt(nats / ln2)}")
+        lines.append(f"{name},{fmt(nats)},{fmt(nats / capacity.LN2)}")
     lines.append(f"total_weight,{fmt(report.total_weight)},")
     lines.append(f"dominance,{fmt(report.dominance)},")
     lines.append(f"prefactor,{fmt(report.prefactor)},")

@@ -1,5 +1,6 @@
-"""Entropic functionals: relative entropy, the log-derivative quadratic form,
-its sandwich factor, channel mutual information, and quadrature cross-validators.
+"""Entropic functionals: von Neumann and relative entropy, the log-derivative
+quadratic form, its sandwich factor and dominance constant, and channel mutual
+information. Spectra go through the spectral kernel in ``linalg``.
 
 All values are in nats; conversion to bits happens only at capacity-reporting
 boundaries.
@@ -10,18 +11,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .channels import QuantumChannel
-from .linalg import clamped_eigenvalues, hermitian_eig
+from .linalg import floored_log, hermitian_eig, log_divided_differences, trace_xlogx
 
 KERNEL_THRESHOLD = 1e-12   # eigenvalues of the reference at or below this count as kernel
 KERNEL_MASS_TOL = 1e-10    # mass of the argument on that kernel before declaring infinity
 ZERO_ELEMENT_TOL = 1e-10   # matrix elements below this are treated as vanishing
 FULL_RANK_TOL = 1e-8
-QUAD_REL_TOL = 1e-8
-QUAD_ABS_TOL = 1e-10
-QUAD_LIMIT = 2 ** 14
+REFERENCE_HERMITICITY_TOL = 1e-8  # allowed non-Hermiticity of a reference state
 
 
 class RelEntropyResult(NamedTuple):
@@ -33,9 +31,7 @@ class RelEntropyResult(NamedTuple):
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    w = clamped_eigenvalues(rho)
-    w = w[w > 0]
-    return float(-np.sum(w * np.log(w)))
+    return float(-trace_xlogx(rho))
 
 
 def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
@@ -49,31 +45,14 @@ def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
     tau = np.asarray(tau, dtype=complex)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
-    mu, h = hermitian_eig(tau, atol=1e-8)
+    mu, h = hermitian_eig(tau, atol=REFERENCE_HERMITICITY_TOL)
     support = mu > KERNEL_THRESHOLD
     diag = np.einsum("ki,ij,jk->k", h.conj().T, rho, h).real
     kernel_mass = float(np.sum(diag[~support]))
     if kernel_mass > KERNEL_MASS_TOL:
         return RelEntropyResult(float("inf"), True)
-    w = clamped_eigenvalues(rho)
-    w = w[w > 0]
-    value = float(np.sum(w * np.log(w)) - np.sum(diag[support] * np.log(mu[support])))
+    value = float(trace_xlogx(rho) - np.sum(diag[support] * floored_log(mu[support])))
     return RelEntropyResult(value, False)
-
-
-def _log_mean_reciprocal(wk: np.ndarray, wl: np.ndarray) -> np.ndarray:
-    """(ln w_k - ln w_l)/(w_k - w_l) elementwise for positive inputs, 1/w_k on ties.
-
-    Near-equal pairs go through log1p of the ratio to avoid cancellation.
-    """
-    d = wk - wl
-    ratio = wk / wl
-    near = (ratio > 0.5) & (ratio < 2.0)
-    d_safe = np.where(d == 0.0, 1.0, d)
-    via_log1p = np.where(d == 0.0, 1.0 / wk, np.log1p(d / wl) / d_safe)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        via_logs = (np.log(wk) - np.log(wl)) / d_safe
-    return np.where(near, via_log1p, via_logs)
 
 
 def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
@@ -89,7 +68,7 @@ def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
     eta = np.asarray(eta, dtype=complex)
     if tau.shape != eta.shape:
         raise ValueError(f"shape mismatch {tau.shape} vs {eta.shape}")
-    mu, h = hermitian_eig(tau, atol=1e-8)
+    mu, h = hermitian_eig(tau, atol=REFERENCE_HERMITICITY_TOL)
     m = h.conj().T @ eta @ h
     a = np.abs(m) ** 2
     support = mu > KERNEL_THRESHOLD
@@ -100,30 +79,7 @@ def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
     mu_s = mu[support]
     if mu_s.size == 0:
         return 0.0
-    kernel = _log_mean_reciprocal(mu_s[:, None], mu_s[None, :])
-    return float(np.sum(a[np.ix_(support, support)] * kernel))
-
-
-def log_derivative_form_via_quadrature(tau: np.ndarray, eta: np.ndarray) -> float:
-    """Independent evaluation of the same form as an x-integral of resolvent traces.
-
-    Integrates tr[(eta (tau + x I)^-1)^2] over x in [0, inf) using the
-    substitution x = u/(1-u).
-    """
-    tau = np.asarray(tau, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    dim = tau.shape[0]
-    eye = np.eye(dim)
-
-    def integrand(u: float) -> float:
-        x = u / (1.0 - u)
-        res = np.linalg.solve((tau + x * eye).T, eta.T).T  # eta @ inv(tau + x I)
-        return float(np.trace(res @ res).real) / (1.0 - u) ** 2
-
-    value, _ = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
-    )
-    return value
+    return float(np.sum(a[np.ix_(support, support)] * log_divided_differences(mu_s)))
 
 
 def lower_bound_factor(k: float) -> float:
@@ -146,7 +102,7 @@ def lower_bound_factor(k: float) -> float:
 
 def dominance_constant(rho: np.ndarray, tau: np.ndarray) -> float:
     """Smallest k >= 1 with k tau >= rho, from the tau-whitened spectral radius."""
-    mu, h = hermitian_eig(np.asarray(tau, dtype=complex), atol=1e-8)
+    mu, h = hermitian_eig(np.asarray(tau, dtype=complex), atol=REFERENCE_HERMITICITY_TOL)
     if mu[0] <= FULL_RANK_TOL:
         raise ValueError(f"reference state must be full rank (min eigenvalue {mu[0]:.3e})")
     whitener = h / np.sqrt(mu)
@@ -155,58 +111,10 @@ def dominance_constant(rho: np.ndarray, tau: np.ndarray) -> float:
     return max(1.0, radius)
 
 
-def relative_entropy_via_integral(rho: np.ndarray, tau: np.ndarray) -> float:
-    """Relative entropy as a t-integral of the log-derivative form along the segment.
-
-    Evaluates int_0^1 (1-t) Q_{rho_t}(rho - tau) dt with rho_t = t rho + (1-t) tau,
-    where Q is ``log_derivative_form``. Both states must be full rank.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
-    for name, state in (("rho", rho), ("tau", tau)):
-        lam_min = float(np.linalg.eigvalsh(state)[0])
-        if lam_min <= FULL_RANK_TOL:
-            raise ValueError(f"{name} must be full rank (min eigenvalue {lam_min:.3e})")
-    eta = rho - tau
-
-    def integrand(t: float) -> float:
-        return (1.0 - t) * log_derivative_form(t * rho + (1.0 - t) * tau, eta)
-
-    value, _ = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
-    )
-    return value
-
-
-def purify(rho: np.ndarray) -> np.ndarray:
-    """Unit vector on a doubled space whose marginals both equal ``rho``."""
-    w, v = hermitian_eig(np.asarray(rho, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T  # matrix Psi with Psi[i, j] = <i (x) j | psi>
-
-
 def mutual_information(channel: QuantumChannel, rho: np.ndarray) -> float:
-    """Channel mutual information at input ``rho`` in nats.
-
-    Purifies the input, pushes the purification through id (x) T, and
-    evaluates the relative entropy against the product of the marginals.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    psi = purify(rho).reshape(-1)
-    joint = channel.apply_extended(np.outer(psi, psi.conj()))
-    reference = np.kron(rho, channel.apply(rho))
-    return relative_entropy(joint, reference).value
-
-
-def donald_residual(weights, states, sigma: np.ndarray) -> float:
-    """Deviation from the barycenter decomposition of an averaged divergence.
-
-    Returns |sum_i p_i D(rho_i||sigma) - sum_i p_i D(rho_i||rho_bar) - D(rho_bar||sigma)|
-    with rho_bar the ensemble average. Expects all relative entropies finite.
-    """
-    p = np.asarray(weights, dtype=float)
-    avg = sum(pi * np.asarray(s, dtype=complex) for pi, s in zip(p, states))
-    lhs = sum(pi * relative_entropy(s, sigma).value for pi, s in zip(p, states))
-    rhs = sum(pi * relative_entropy(s, avg).value for pi, s in zip(p, states))
-    rhs += relative_entropy(avg, sigma).value
-    return float(abs(lhs - rhs))
+    """Channel mutual information S(rho) + S(T(rho)) - S(T_c(rho)) in nats, T_c complementary."""
+    return (
+        von_neumann_entropy(rho)
+        + von_neumann_entropy(channel.apply(rho))
+        - von_neumann_entropy(channel.apply_complementary(rho))
+    )

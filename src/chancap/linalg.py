@@ -11,6 +11,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
+LOG_FLOOR = 1e-30
 
 
 class Eigensystem(NamedTuple):
@@ -175,7 +176,52 @@ def check_density_matrix(
         raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
 
 
-def clamped_eigenvalues(rho: np.ndarray) -> np.ndarray:
+def maximally_entangled_state(d: int) -> np.ndarray:
+    """Unit vector sum_i |i> (x) |i> / sqrt(d) on the doubled space."""
+    return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+
+
+# Spectral kernel, the one convention of every entropic quantity: eigenvalues
+# are clamped at 0 and enter logarithms as max(w, LOG_FLOOR), so 0 ln 0 = 0.
+# The matrix functions take one matrix or a stack of them.
+
+
+def clamped_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues ascending with small negative drift clamped to zero."""
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    return np.clip(w, 0.0, None)
+    return np.maximum(np.linalg.eigvalsh(np.asarray(m, dtype=complex)), 0.0)
+
+
+def floored_log(w: np.ndarray) -> np.ndarray:
+    """ln max(w, LOG_FLOOR) elementwise."""
+    return np.log(np.maximum(w, LOG_FLOOR))
+
+
+def trace_xlogx(m: np.ndarray) -> np.ndarray:
+    """tr(m ln m): sum of w ln w over the clamped eigenvalues, with 0 ln 0 = 0."""
+    w = clamped_eigenvalues(m)
+    return np.sum(w * floored_log(w), axis=-1)
+
+
+def log_matrix(m: np.ndarray) -> np.ndarray:
+    """Matrix logarithm of a positive semidefinite matrix with floored eigenvalue logs."""
+    w, v = np.linalg.eigh(m)
+    return (v * floored_log(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def log_divided_differences(w: np.ndarray) -> np.ndarray:
+    """Matrix of (ln w_k - ln w_l)/(w_k - w_l) over a spectrum, 1/w_k on ties.
+
+    Eigenvalues are floored at LOG_FLOOR, as in the logs. Near-equal pairs go
+    through log1p of the ratio to avoid cancellation.
+    """
+    w = np.maximum(w, LOG_FLOOR)
+    logs = np.log(w)
+    wk, wl = w[:, None], w[None, :]
+    d = wk - wl
+    ratio = wk / wl
+    near = (ratio > 0.5) & (ratio < 2.0)
+    d_safe = np.where(d == 0.0, 1.0, d)
+    small = np.where(near, d / wl, 0.0)  # log1p(-1) would warn on far pairs it never uses
+    via_log1p = np.where(d == 0.0, 1.0 / wk, np.log1p(small) / d_safe)
+    via_logs = (logs[:, None] - logs[None, :]) / d_safe
+    return np.where(near, via_log1p, via_logs)

@@ -18,14 +18,14 @@ from chancap import (
 )
 from chancap.capacity import (
     LN2,
-    _batch_outputs,
     _batch_values,
     _ensemble_weights,
-    _log_matrix,
     _mixture_divergences,
-    _mutual_information_nats,
     _sphere_ascent,
 )
+from chancap.channels import pure_outputs as _batch_outputs
+from chancap.entropy import mutual_information as _mutual_information_nats
+from chancap.linalg import log_matrix as _log_matrix
 
 # closed forms for the depolarizing family, derived independently of the solvers:
 # the assisted value comes from the maximally mixed input (the covariant

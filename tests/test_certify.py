@@ -11,6 +11,7 @@ from chancap import (
     family_total_weight,
     identity_channel,
     lower_bound_factor,
+    mutual_information,
     output_barycenter,
     random_channel,
     random_density_matrix,
@@ -23,7 +24,7 @@ from chancap import (
     verify_ratio_bound,
 )
 from chancap.certify import superposition_state
-from chancap.linalg import check_density_matrix
+from chancap.linalg import check_density_matrix, partial_trace
 
 
 def bell_vector(d=2):
@@ -173,8 +174,19 @@ class TestChainReport:
         assert report.monotone_ok
 
     def test_rejects_mixed_state(self):
-        with pytest.raises(ValueError, match="pure state"):
-            chain_report(identity_channel(2), np.eye(4) / 4)
+        # trace 1 but mixed; trace 2; and a negative operator of purity one
+        for state in (np.eye(4) / 4, np.eye(4) / 2, -np.diag([1.0, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="pure state"):
+                chain_report(identity_channel(2), state)
+
+    def test_head_is_mutual_information_of_right_marginal(self):
+        for trial in range(6):
+            d = 2 + trial % 2
+            chan = random_channel(d, 2 + trial // 3, seed=(16, trial))
+            v = random_pure_state(d * d, (17, trial))
+            right = partial_trace(np.outer(v, v.conj()), 1, (d, d))
+            head = chain_report(chan, v).mutual_info_nats
+            assert abs(head - mutual_information(chan, right)) <= 1e-12
 
     def test_donald_minimality_of_barycenter(self):
         # replacing the constructed reference by any other state in the

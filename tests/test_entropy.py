@@ -6,21 +6,24 @@ import pytest
 from chancap import (
     depolarizing_channel,
     dominance_constant,
-    donald_residual,
     identity_channel,
     log_derivative_form,
-    log_derivative_form_via_quadrature,
     lower_bound_factor,
     mutual_information,
-    purify,
     random_channel,
     random_density_matrix,
     random_pure_state,
     relative_entropy,
-    relative_entropy_via_integral,
     von_neumann_entropy,
 )
 from chancap.linalg import partial_trace
+from oracles import (
+    donald_residual,
+    log_derivative_form_via_quadrature,
+    mutual_information_via_purification,
+    purify,
+    relative_entropy_via_integral,
+)
 
 
 def full_rank_state(dim, seed, floor=0.05):
@@ -254,6 +257,18 @@ class TestMutualInformation:
             - von_neumann_entropy(joint)
         )
         assert abs(mutual_information(chan, rho) - identity_form) < 1e-8
+
+    def test_matches_purification_form(self):
+        # full rank, rank one, and (for qutrits) rank two inputs
+        worst = 0.0
+        for trial in range(12):
+            d_in, d_out = [(2, 2), (2, 3), (3, 2), (3, 3)][trial % 4]
+            chan = random_channel(d_in, d_out, seed=(39, trial))
+            for rank in range(1, d_in + 1):
+                rho = random_density_matrix(d_in, rank, (40, trial, rank))
+                oracle = mutual_information_via_purification(chan, rho)
+                worst = max(worst, abs(mutual_information(chan, rho) - oracle))
+        assert worst <= 1e-10
 
     def test_concave_in_input(self):
         chan = random_channel(2, 2, seed=31)

@@ -9,6 +9,11 @@ accumulated witness ensemble whose positions and weights are improved
 monotonically in the certified lower bound. The weights come from Newton
 steps on the optimality conditions, with an SLSQP solve when those leave a
 gap.
+
+Both ascents take a trial point's value and gradient from one
+eigendecomposition of each of its matrices (the outputs of the sphere
+ascent's rows; H, T(rho) and T_c(rho) in the mirror ascent), and an
+accepted point carries them into its next step.
 """
 
 from __future__ import annotations
@@ -20,8 +25,18 @@ import numpy as np
 from scipy import optimize
 
 from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
-from .entropy import mutual_information
-from .linalg import log_divided_differences, log_matrix, seeded_rng, trace_xlogx
+from .entropy import mutual_information_from_spectra
+from .linalg import (
+    Eigensystem,
+    clamped_eigh,
+    eigensystem_log,
+    log_divided_differences,
+    log_matrix,
+    seeded_rng,
+    spectral_matrix,
+    trace_xlogx,
+    xlogx_sum,
+)
 
 LN2 = float(np.log(2.0))
 DEFAULT_TOL = 1e-7
@@ -64,6 +79,14 @@ def _adjoint_apply(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
     return np.einsum("mic,mcj->ij", z, channel.kraus)
 
 
+def _gradient_from_logs(channel, ln_rho, ln_out, ln_env) -> np.ndarray:
+    """Gradient of the mutual information from the logarithms of rho, T(rho) and T_c(rho)."""
+    z = np.einsum("kj,kbi->jbi", ln_env, channel.kraus.conj())
+    env_term = np.einsum("jbi,jbl->il", z, channel.kraus)
+    grad = -ln_rho - _adjoint_apply(channel, ln_out) + env_term - np.eye(channel.d_in)
+    return (grad + grad.conj().T) / 2.0
+
+
 def mutual_information_gradient(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the mutual information with respect to the input state.
 
@@ -74,20 +97,41 @@ def mutual_information_gradient(channel: QuantumChannel, rho: np.ndarray) -> np.
     d = channel.d_in
     if float(np.linalg.eigvalsh(rho)[0]) < 1e-12:
         rho = (rho + 1e-12 * np.eye(d) / d) / (1.0 + 1e-12)
-    ln_rho = log_matrix(rho)
-    ln_out = log_matrix(channel.apply(rho))
-    ln_env = log_matrix(channel.apply_complementary(rho))
-    z = np.einsum("kj,kbi->jbi", ln_env, channel.kraus.conj())
-    env_term = np.einsum("jbi,jbl->il", z, channel.kraus)
-    grad = -ln_rho - _adjoint_apply(channel, ln_out) + env_term - np.eye(d)
-    return (grad + grad.conj().T) / 2.0
+    return _gradient_from_logs(
+        channel,
+        log_matrix(rho),
+        log_matrix(channel.apply(rho)),
+        log_matrix(channel.apply_complementary(rho)),
+    )
 
 
-def _state_from_logits(h: np.ndarray) -> np.ndarray:
+class _AssistedPoint(NamedTuple):
+    """An input state exp(H)/tr exp(H) with its mutual information, the
+    eigensystems of rho, T(rho) and T_c(rho) behind it, and lambda_max(H)."""
+
+    rho: np.ndarray
+    value: float
+    eigensystems: tuple[Eigensystem, Eigensystem, Eigensystem]
+    logit_max: float
+
+
+def _assisted_point(channel: QuantumChannel, h: np.ndarray) -> _AssistedPoint:
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     e = np.exp(w - w[-1])
     e /= e.sum()
-    return (v * e) @ v.conj().T
+    rho = spectral_matrix(v, e)
+    out = clamped_eigh(channel.apply(rho))
+    env = clamped_eigh(channel.apply_complementary(rho))
+    value = mutual_information_from_spectra(e, out.values, env.values)
+    return _AssistedPoint(rho, value, (Eigensystem(e, v), out, env), float(w[-1]))
+
+
+def _assisted_gradient(channel: QuantumChannel, point: _AssistedPoint) -> np.ndarray:
+    """The mutual information gradient at the point; from its eigensystems
+    unless rho is rank-deficient, where the public function mixes it first."""
+    if point.eigensystems[0].values[0] < 1e-12:
+        return mutual_information_gradient(channel, point.rho)
+    return _gradient_from_logs(channel, *map(eigensystem_log, point.eigensystems))
 
 
 def entanglement_assisted_capacity(
@@ -100,18 +144,19 @@ def entanglement_assisted_capacity(
     Entropic mirror ascent: the state is kept as exp(H)/tr exp(H) and H moves
     along the Euclidean gradient with a backtracking step. The reported gap is
     lambda_max(grad) - tr(rho grad), a global optimality certificate for this
-    concave objective; convergence means gap <= tol (in nats).
+    concave objective; convergence means gap <= tol (in nats). Each trial
+    state costs one eigendecomposition of H, T(rho) and T_c(rho) each, which
+    give its value and, once accepted, its gradient.
     """
     d = channel.d_in
     h = np.zeros((d, d), dtype=complex)
-    rho = np.eye(d, dtype=complex) / d
-    value = mutual_information(channel, rho)
+    point = _assisted_point(channel, h)
     gap = float("inf")
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        grad = mutual_information_gradient(channel, rho)
-        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
+        grad = _assisted_gradient(channel, point)
+        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(point.rho @ grad).real)
         if gap <= tol:
             converged = True
             break
@@ -119,28 +164,26 @@ def entanglement_assisted_capacity(
         accepted = False
         while step >= STEP_FLOOR:
             h_try = h + step * grad
-            rho_try = _state_from_logits(h_try)
-            value_try = mutual_information(channel, rho_try)
-            gain = float(np.trace(grad @ (rho_try - rho)).real)
-            if value_try >= value + ARMIJO * gain:
-                h, rho, value = h_try, rho_try, value_try
+            trial = _assisted_point(channel, h_try)
+            gain = float(np.trace(grad @ (trial.rho - point.rho)).real)
+            if trial.value >= point.value + ARMIJO * gain:
+                point = trial
+                h = h_try - trial.logit_max * np.eye(d)  # keep logits bounded
                 accepted = True
                 break
             step /= 2.0
         if not accepted:
             break  # stalled below the step floor; gap reported honestly
-        w = np.linalg.eigvalsh(h)
-        h -= w[-1] * np.eye(d)  # keep logits bounded
-    if not converged:
-        grad = mutual_information_gradient(channel, rho)
-        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
+    else:  # out of iterations: the gap at the last accepted point
+        grad = _assisted_gradient(channel, point)
+        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(point.rho @ grad).real)
         converged = gap <= tol
     return CapacityEstimate(
-        value_nats=max(0.0, value),
+        value_nats=max(0.0, point.value),
         gap_bound=gap,
         iterations=iterations,
         converged=converged,
-        argmax_state=rho,
+        argmax_state=point.rho,
     )
 
 
@@ -151,18 +194,26 @@ def _divergences(outs: np.ndarray, ln_sigma: np.ndarray, self_terms=None) -> np.
     return self_terms - np.einsum("rbc,cb->r", outs, ln_sigma).real
 
 
-def _batch_values(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
-    return _divergences(pure_outputs(channel, states), ln_sigma)
+def _divergences_and_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
+    """D(T(psi psi*)||sigma) and its Wirtinger gradient for a stack of unit vectors.
 
-
-def _batch_divergence_grads(
-    channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray, outs: np.ndarray
-):
-    """Wirtinger gradients of D(T(psi psi*)||sigma) for unit vectors with outputs ``outs``."""
+    Row i of the gradient is g_i = T*(ln T(psi_i) - ln sigma) psi_i, with T* the
+    adjoint map: along a tangent t (Re<psi_i, t> = 0) the divergence changes at
+    the rate 2 Re<g_i, t>. Both come from one eigendecomposition of the outputs.
+    """
     amps = np.einsum("mbi,ri->rmb", channel.kraus, states)
-    x = log_matrix(outs) - ln_sigma[None, :, :]
+    outs = np.einsum("rmb,rmc->rbc", amps, amps.conj())
+    eig = clamped_eigh(outs)
+    vals = _divergences(outs, ln_sigma, xlogx_sum(eig.values))
+    x = eigensystem_log(eig) - ln_sigma
     z = np.einsum("rbc,rmc->rmb", x, amps)
-    return np.einsum("rmb,mbi->ri", z, channel.kraus.conj())
+    return vals, np.einsum("rmb,mbi->ri", z, channel.kraus.conj())
+
+
+def _tangent(states: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Gradients projected onto the tangent spaces of the unit sphere at ``states``."""
+    overlap = np.einsum("ri,ri->r", states.conj(), grads)
+    return grads - overlap[:, None] * states
 
 
 def _sphere_ascent(
@@ -177,57 +228,63 @@ def _sphere_ascent(
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
     step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
     clipped to [1e-3, 1e3]; where Re<s,y> <= 0, as before a row first moves,
-    it starts from its own doubled last step instead. Rows retire once their
-    tangent gradient is below ``grad_tol`` or no ascent step is accepted, and
-    row values never decrease. Returns the final (values, states) for every
-    row.
+    it starts from its own doubled last step instead. A round evaluates value
+    and gradient at the trial point of every active row from one batched
+    eigendecomposition: an accepted row moves and holds the gradient for its
+    next step, a rejected row halves its step for the next round. Rows retire
+    once their tangent gradient is below ``grad_tol``, after ``max_steps``
+    line searches, or when 25 halvings fail below a step of 1e-14; row values
+    never decrease. Returns the final (values, states) for every row.
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    vals = _batch_values(channel, ln_sigma, psi)
-    steps = np.ones(len(psi))
-    active = np.ones(len(psi), dtype=bool)
+    vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
+    tangent = _tangent(psi, grads)
+    norms = np.linalg.norm(tangent, axis=1)
+    n = len(psi)
+    steps = np.ones(n)
+    alpha = np.ones(n)
+    halvings = np.zeros(n, dtype=int)
+    searches = np.zeros(n, dtype=int)
     prev_psi = psi.copy()
     prev_tangent = np.zeros_like(psi)
-    for _ in range(max_steps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        rows = psi[idx]
-        grads = _batch_divergence_grads(channel, ln_sigma, rows, pure_outputs(channel, rows))
-        overlap = np.einsum("ri,ri->r", rows.conj(), grads)
-        tangent = grads - overlap[:, None] * rows
-        norms = np.linalg.norm(tangent, axis=1)
-        done = norms <= grad_tol
-        active[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
-            continue
-        tangent = tangent[~done]
-        norms = norms[~done]
-        s = psi[idx] - prev_psi[idx]
-        y = prev_tangent[idx] - tangent
+    active = np.zeros(n, dtype=bool)
+
+    def start_searches(rows):
+        """Start a line search on each row not yet converged or out of searches."""
+        rows = rows[(norms[rows] > grad_tol) & (searches[rows] < max_steps)]
+        s = psi[rows] - prev_psi[rows]
+        y = prev_tangent[rows] - tangent[rows]
         sy = np.einsum("ri,ri->r", s.conj(), y).real
         use_bb = sy > 0.0
         bb = sy / np.where(use_bb, np.linalg.norm(y, axis=1) ** 2, 1.0)
-        alpha = np.where(use_bb, np.clip(bb, 1e-3, 1e3), steps[idx])
-        prev_psi[idx] = psi[idx]
-        prev_tangent[idx] = tangent
-        pending = np.ones(idx.size, dtype=bool)
-        for _ in range(25):
-            if not pending.any():
-                break
-            sub = np.flatnonzero(pending)
-            cand = psi[idx[sub]] + alpha[sub, None] * tangent[sub]
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cand_vals = _batch_values(channel, ln_sigma, cand)
-            ok = cand_vals >= vals[idx[sub]] + ARMIJO * alpha[sub] * norms[sub] ** 2
-            accepted = idx[sub[ok]]
-            psi[accepted] = cand[ok]
-            vals[accepted] = cand_vals[ok]
-            pending[sub[ok]] = False
-            alpha[sub[~ok]] /= 2.0
-        steps[idx] = np.minimum(alpha * 2.0, 1e3)
-        active[idx[pending & (alpha < 1e-14)]] = False  # stuck at float precision
+        alpha[rows] = np.where(use_bb, np.clip(bb, 1e-3, 1e3), steps[rows])
+        prev_psi[rows] = psi[rows]
+        prev_tangent[rows] = tangent[rows]
+        halvings[rows] = 0
+        searches[rows] += 1
+        active[rows] = True
+
+    start_searches(np.arange(n))
+    while active.any():
+        idx = np.flatnonzero(active)
+        cand = psi[idx] + alpha[idx, None] * tangent[idx]
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cand_vals, cand_grads = _divergences_and_grads(channel, ln_sigma, cand)
+        ok = cand_vals >= vals[idx] + ARMIJO * alpha[idx] * norms[idx] ** 2
+        moved = idx[ok]
+        psi[moved] = cand[ok]
+        vals[moved] = cand_vals[ok]
+        tangent[moved] = _tangent(cand[ok], cand_grads[ok])
+        norms[moved] = np.linalg.norm(tangent[moved], axis=1)
+        rejected = idx[~ok]
+        alpha[rejected] /= 2.0
+        halvings[rejected] += 1
+        failed = rejected[halvings[rejected] == 25]
+        ended = np.concatenate([moved, failed])
+        steps[ended] = np.minimum(alpha[ended] * 2.0, 1e3)
+        active[ended] = False
+        retry = failed[alpha[failed] >= 1e-14]  # below that, stuck at float precision
+        start_searches(np.concatenate([moved, retry]))
     return vals, psi
 
 
@@ -265,28 +322,24 @@ def _barycenter(outs: np.ndarray, weights: np.ndarray, anchor: np.ndarray | None
     return (1.0 - BARYCENTER_MIX) * avg + BARYCENTER_MIX * anchor
 
 
-def _mixture_divergences(
-    outs: np.ndarray,
-    weights: np.ndarray,
-    anchor: np.ndarray | None = None,
-    self_terms: np.ndarray | None = None,
-) -> np.ndarray:
+def _mixture_divergences(outs: np.ndarray, weights: np.ndarray, self_terms=None) -> np.ndarray:
     """Divergences D_i = D(out_i || barycenter) with floored logs.
 
-    Without an anchor, ``weights @ D`` is the ensemble mixture divergence, a
-    valid lower bound on the Holevo quantity.
+    ``weights @ D`` is the ensemble mixture divergence, a valid lower bound
+    on the Holevo quantity.
     """
-    return _divergences(outs, log_matrix(_barycenter(outs, weights, anchor)), self_terms)
+    return _divergences(outs, log_matrix(_barycenter(outs, weights)), self_terms)
 
 
 def _weight_newton_step(
-    outs: np.ndarray, weights: np.ndarray, anchor: np.ndarray, dvals: np.ndarray
+    outs: np.ndarray, weights: np.ndarray, barycenter_eig: Eigensystem, dvals: np.ndarray
 ) -> np.ndarray:
     """One Newton step towards D_i = chi on the support of ``weights``.
 
     The output with the largest D_i joins the support if it is outside. The
     anchored divergences are linearized with the Hessian of -tr(avg ln avg),
-    built from the divided differences of ln over the barycenter's spectrum,
+    built from the divided differences of ln over the spectrum of the anchored
+    barycenter, whose eigensystem ``barycenter_eig`` the D_i were computed from,
     and the equality-constrained system is solved in the least-squares sense.
     A step that would push a weight below zero stops where the first one
     reaches zero, which drops that output from the support.
@@ -295,7 +348,7 @@ def _weight_newton_step(
     worst = int(np.argmax(dvals))
     if weights[worst] <= WEIGHT_FLOOR:
         support = np.append(support, worst)
-    lam, v = np.linalg.eigh(_barycenter(outs, weights, anchor))
+    lam, v = barycenter_eig
     rot = v.conj().T @ outs[support] @ v
     hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, log_divided_differences(lam)).real
     n = support.size
@@ -318,6 +371,7 @@ def _ensemble_weights(
     floor_state: np.ndarray,
     tol: float,
     init: np.ndarray | None = None,
+    self_terms: np.ndarray | None = None,
 ):
     """Optimal weights over a fixed output alphabet.
 
@@ -328,7 +382,7 @@ def _ensemble_weights(
     which SLSQP alone cannot do once the gains in chi fall below rounding. A
     new point is kept only if its exact chi is above the start's; a Newton
     step must also lower the gap or raise chi. Returns (weights, mixture
-    divergence at those weights).
+    divergence at those weights). ``self_terms`` may cache trace_xlogx(outs).
     """
     m = outs.shape[0]
     if init is not None and len(init) == m and init.min() >= 0 and init.sum() > 0:
@@ -338,36 +392,39 @@ def _ensemble_weights(
         p = np.full(m, 1.0 / m)
     if m == 1:
         return p, 0.0
-    self_terms = trace_xlogx(outs)
+    if self_terms is None:
+        self_terms = trace_xlogx(outs)
 
     def chi_exact(weights: np.ndarray) -> float:
-        return float(weights @ _mixture_divergences(outs, weights, self_terms=self_terms))
+        return float(weights @ _mixture_divergences(outs, weights, self_terms))
 
-    def divergences(weights: np.ndarray) -> np.ndarray:
-        return _mixture_divergences(outs, weights, floor_state, self_terms)
+    def divergences(weights: np.ndarray):
+        """Anchored D_i and the eigensystem of the anchored barycenter they come from."""
+        eig = clamped_eigh(_barycenter(outs, weights, floor_state))
+        return _divergences(outs, eigensystem_log(eig), self_terms), eig
 
     chi_start = chi_exact(p)
 
-    def newton(p, chi, dvals):
+    def newton(p, chi, dvals, eig):
         gap = dvals.max() - float(p @ dvals)
         for _ in range(4):
             if gap <= tol:
                 break
-            q = _weight_newton_step(outs, p, floor_state, dvals)
-            dvals_q = divergences(q)
+            q = _weight_newton_step(outs, p, eig, dvals)
+            dvals_q, eig_q = divergences(q)
             gap_q = dvals_q.max() - float(q @ dvals_q)
             chi_q = chi_exact(q)
             if chi_q <= chi_start or (gap_q >= gap and chi_q <= chi):
                 break
-            p, chi, dvals, gap = q, chi_q, dvals_q, gap_q
-        return p, chi, dvals, gap
+            p, chi, dvals, eig, gap = q, chi_q, dvals_q, eig_q, gap_q
+        return p, chi, dvals, eig, gap
 
-    p, chi, dvals, gap = newton(p, chi_start, divergences(p))
+    p, chi, dvals, eig, gap = newton(p, chi_start, *divergences(p))
     if gap <= tol:
         return p, chi
 
     def neg_chi(q):
-        dvals = divergences(q)
+        dvals, _ = divergences(q)
         return -float(q @ dvals), 1.0 - dvals
 
     res = optimize.minimize(
@@ -384,8 +441,8 @@ def _ensemble_weights(
         q /= q.sum()
         chi_q = chi_exact(q)
         if chi_q > chi:
-            p, chi, dvals = q, chi_q, divergences(q)
-    p, chi, _, _ = newton(p, chi, dvals)
+            p, chi, (dvals, eig) = q, chi_q, divergences(q)
+    p, chi, _, _, _ = newton(p, chi, dvals, eig)
     return p, chi
 
 
@@ -406,9 +463,8 @@ def _improve_positions(
         return witnesses, outs, weights, chi
     for _ in range(sweeps):
         ln_avg = log_matrix(_barycenter(outs, weights, anchor))
-        grads = _batch_divergence_grads(channel, ln_avg, witnesses, outs)
-        overlap = np.einsum("ri,ri->r", witnesses.conj(), grads)
-        tangent = grads - overlap[:, None] * witnesses
+        _, grads = _divergences_and_grads(channel, ln_avg, witnesses)
+        tangent = _tangent(witnesses, grads)
         slope = float(weights @ np.linalg.norm(tangent, axis=1) ** 2)
         if slope <= 1e-16:
             break
@@ -418,15 +474,16 @@ def _improve_positions(
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             cand_outs = pure_outputs(channel, cand)
-            chi_cand = float(weights @ _mixture_divergences(cand_outs, weights))
+            cand_terms = trace_xlogx(cand_outs)
+            chi_cand = float(weights @ _mixture_divergences(cand_outs, weights, cand_terms))
             if chi_cand >= chi + ARMIJO * step * slope:
-                witnesses, outs, chi = cand, cand_outs, chi_cand
+                witnesses, outs, chi, self_terms = cand, cand_outs, chi_cand, cand_terms
                 moved = True
                 break
             step /= 2.0
         if not moved:
             break
-        weights, chi_new = _ensemble_weights(outs, anchor, ba_tol, init=weights)
+        weights, chi_new = _ensemble_weights(outs, anchor, ba_tol, weights, self_terms)
         chi = max(chi, chi_new)
     return witnesses, outs, weights, chi
 

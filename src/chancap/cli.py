@@ -240,7 +240,10 @@ def _parse_state(spec: str, d: int) -> np.ndarray:
         return linalg.maximally_entangled_state(d)
     if spec.startswith("random:"):
         return linalg.random_pure_state(d * d, int(spec.split(":", 1)[1]))
-    arr = np.asarray(json.loads(spec), dtype=float)
+    try:
+        arr = np.asarray(json.loads(spec), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"--state must be a JSON array of numbers ({exc})") from exc
     if arr.ndim == 2 and arr.shape[1] == 2:  # [re, im] pairs
         return arr[:, 0] + 1j * arr[:, 1]
     return arr

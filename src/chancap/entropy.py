@@ -13,7 +13,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel
-from .linalg import floored_log, hermitian_eig, log_divided_differences, trace_xlogx
+from .linalg import (
+    clamped_eigenvalues,
+    floored_log,
+    hermitian_eig,
+    log_divided_differences,
+    trace_xlogx,
+    xlogx_sum,
+)
 
 KERNEL_THRESHOLD = 1e-12   # eigenvalues of the reference at or below this count as kernel
 KERNEL_MASS_TOL = 1e-10    # mass of the argument on that kernel before declaring infinity
@@ -113,8 +120,15 @@ def dominance_constant(rho: np.ndarray, tau: np.ndarray) -> float:
 
 def mutual_information(channel: QuantumChannel, rho: np.ndarray) -> float:
     """Channel mutual information S(rho) + S(T(rho)) - S(T_c(rho)) in nats, T_c complementary."""
-    return (
-        von_neumann_entropy(rho)
-        + von_neumann_entropy(channel.apply(rho))
-        - von_neumann_entropy(channel.apply_complementary(rho))
+    return mutual_information_from_spectra(
+        clamped_eigenvalues(rho),
+        clamped_eigenvalues(channel.apply(rho)),
+        clamped_eigenvalues(channel.apply_complementary(rho)),
     )
+
+
+def mutual_information_from_spectra(
+    w_in: np.ndarray, w_out: np.ndarray, w_env: np.ndarray
+) -> float:
+    """S(rho) + S(T(rho)) - S(T_c(rho)) from the clamped spectra of the three states."""
+    return float(-xlogx_sum(w_in) - xlogx_sum(w_out) + xlogx_sum(w_env))

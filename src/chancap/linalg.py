@@ -191,21 +191,40 @@ def clamped_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(np.asarray(m, dtype=complex)), 0.0)
 
 
+def clamped_eigh(m: np.ndarray) -> Eigensystem:
+    """Clamped eigenvalues as in ``clamped_eigenvalues``, with their eigenvector columns."""
+    w, v = np.linalg.eigh(m)
+    return Eigensystem(np.maximum(w, 0.0), v)
+
+
 def floored_log(w: np.ndarray) -> np.ndarray:
     """ln max(w, LOG_FLOOR) elementwise."""
     return np.log(np.maximum(w, LOG_FLOOR))
 
 
-def trace_xlogx(m: np.ndarray) -> np.ndarray:
-    """tr(m ln m): sum of w ln w over the clamped eigenvalues, with 0 ln 0 = 0."""
-    w = clamped_eigenvalues(m)
+def xlogx_sum(w: np.ndarray) -> np.ndarray:
+    """Sum of w ln w over the last axis of clamped eigenvalues, with 0 ln 0 = 0."""
     return np.sum(w * floored_log(w), axis=-1)
+
+
+def trace_xlogx(m: np.ndarray) -> np.ndarray:
+    """tr(m ln m) from the clamped eigenvalues."""
+    return xlogx_sum(clamped_eigenvalues(m))
+
+
+def spectral_matrix(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """v diag(f) v^dagger: the matrix with eigenvector columns ``v`` and eigenvalues ``f``."""
+    return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def eigensystem_log(eig: Eigensystem) -> np.ndarray:
+    """Matrix logarithm, with floored eigenvalue logs, of the matrix with eigensystem ``eig``."""
+    return spectral_matrix(eig.vectors, floored_log(eig.values))
 
 
 def log_matrix(m: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a positive semidefinite matrix with floored eigenvalue logs."""
-    w, v = np.linalg.eigh(m)
-    return (v * floored_log(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return eigensystem_log(clamped_eigh(m))
 
 
 def log_divided_differences(w: np.ndarray) -> np.ndarray:

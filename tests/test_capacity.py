@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 
+import chancap.capacity as capacity_module
 from chancap import (
+    QuantumChannel,
     depolarizing_capacity_sweep,
     depolarizing_channel,
     entanglement_assisted_capacity,
@@ -13,12 +16,13 @@ from chancap import (
     random_channel,
     random_density_matrix,
     random_pure_state,
+    relative_entropy,
     replacement_channel,
     seeded_rng,
 )
 from chancap.capacity import (
     LN2,
-    _batch_values,
+    _divergences_and_grads,
     _ensemble_weights,
     _mixture_divergences,
     _sphere_ascent,
@@ -76,6 +80,41 @@ class TestAssistedCapacity:
         assert est.converged and est.gap_bound <= 1e-7
         assert -1e-6 <= est.value_bits <= 2 * math.log2(2) + 1e-6
         np.testing.assert_allclose(np.trace(est.argmax_state), 1.0, atol=1e-10)
+
+
+def qutrit_with_discarded_level():
+    """Identity on span{|0>, |1>}, with |2> sent to |0> by a Kraus operator of
+    its own. Every optimal input avoids |2>, so the optimum is rank-deficient."""
+    keep = np.zeros((2, 3), dtype=complex)
+    keep[0, 0] = keep[1, 1] = 1.0
+    drop = np.zeros((2, 3), dtype=complex)
+    drop[0, 2] = 1.0
+    return QuantumChannel(np.stack([keep, drop]))
+
+
+class TestAssistedCertificate:
+    def test_value_and_gap_match_the_public_functions(self):
+        # the solver's value and gap come from eigensystems it carries along;
+        # at the returned state they must equal the library's own evaluations
+        chans = [
+            random_channel(din, dout, seed=(80, din, dout)) for din in (2, 3) for dout in (2, 3)
+        ]
+        chans += [
+            identity_channel(2),
+            identity_channel(3),
+            replacement_channel(np.diag([1.0, 0.0, 0.0]).astype(complex), 2),
+            qutrit_with_discarded_level(),
+        ]
+        for chan in chans:
+            est = entanglement_assisted_capacity(chan)
+            rho = est.argmax_state
+            assert est.converged
+            assert abs(est.value_nats - _mutual_information_nats(chan, rho)) <= 1e-12
+            grad = mutual_information_gradient(chan, rho)
+            gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
+            assert abs(est.gap_bound - gap) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] < 1e-12  # the last channel ends rank-deficient
+        assert abs(est.value_bits - 2.0) < 1e-6
 
 
 class TestGradient:
@@ -158,7 +197,51 @@ class TestInnerSolvers:
             starts = g.standard_normal((16, din)) + 1j * g.standard_normal((16, din))
             psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
             vals, _ = _sphere_ascent(chan, ln_sigma, starts)
-            assert np.all(vals >= _batch_values(chan, ln_sigma, psi))
+            assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi)[0])
+
+    def test_divergence_gradient_matches_central_differences(self):
+        # along a tangent t of the unit sphere, D(T(psi)||sigma) changes at the
+        # rate 2 Re<g, t>, with g the Wirtinger gradient of the docstring
+        for trial in range(8):
+            din, dout = [(2, 2), (2, 3), (3, 2), (3, 3)][trial % 4]
+            chan = random_channel(din, dout, seed=(70, trial))
+            ln_sigma = _log_matrix(random_density_matrix(dout, dout, (71, trial)))
+            g = seeded_rng(72, trial)
+            psi = g.standard_normal((4, din)) + 1j * g.standard_normal((4, din))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            t = g.standard_normal((4, din)) + 1j * g.standard_normal((4, din))
+            t -= np.einsum("ri,ri->r", psi.conj(), t)[:, None] * psi
+
+            def value(x):
+                x = x / np.linalg.norm(x, axis=1, keepdims=True)
+                return _divergences_and_grads(chan, ln_sigma, x)[0]
+
+            _, grads = _divergences_and_grads(chan, ln_sigma, psi)
+            eps = 1e-6
+            fd = (value(psi + eps * t) - value(psi - eps * t)) / (2 * eps)
+            rate = 2.0 * np.einsum("ri,ri->r", grads.conj(), t).real
+            np.testing.assert_allclose(rate, fd, rtol=0.0, atol=1e-7)
+
+    def test_single_input_dimension(self, monkeypatch):
+        # with d_in = 1 the sphere is one point up to phase: both capacities
+        # vanish and every ascent row has a zero tangent from the start
+        chan = random_channel(1, 3, seed=90)
+        for est in (holevo_quantity(chan), entanglement_assisted_capacity(chan)):
+            assert est.converged and abs(est.value_nats) < 1e-12
+        batches = []
+        fused = capacity_module._divergences_and_grads
+
+        def counted(channel, ln_sigma, states):
+            batches.append(len(states))
+            return fused(channel, ln_sigma, states)
+
+        monkeypatch.setattr(capacity_module, "_divergences_and_grads", counted)
+        sigma = random_density_matrix(3, 3, 91)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = max_output_divergence(chan, sigma, restarts=8)
+        assert batches == [8]  # the starts' evaluation; every row retires at once
+        assert abs(value - relative_entropy(chan.apply(np.eye(1)), sigma).value) < 1e-12
 
     def test_ensemble_weights_close_the_gap_on_degenerate_alphabets(self):
         # five qubit outputs (more than d_out^2 = 4) leave chi linear along

@@ -136,6 +136,13 @@ class TestChainCommand:
         assert res.returncode == 1
         assert "pure state required" in res.stderr
 
+    def test_non_numeric_state_rejected(self):
+        for spec in ('{"a": 1}', '[{"a": 1}, 0, 0, 0]'):
+            res = run_cli("chain", "--named", "identity:d=2", "--state", spec)
+            assert res.returncode == 1
+            assert res.stderr.startswith("error: --state must be a JSON array of numbers")
+            assert "Traceback" not in res.stderr
+
 
 class TestSweepCommand:
     def test_small_sweep_with_svg(self, tmp_path):

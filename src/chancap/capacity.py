@@ -6,9 +6,8 @@ The Holevo quantity is a minimax problem solved by alternating a multi-start
 sphere ascent (inner supremum; Armijo steps started from Barzilai-Borwein
 step lengths) with barycenter updates of the reference state over an
 accumulated witness ensemble whose positions and weights are improved
-monotonically in the certified lower bound. The weights come from Newton
-steps on the optimality conditions, with an SLSQP solve when those leave a
-gap.
+monotonically in the certified lower bound. The weights come from damped
+Newton steps on the optimality conditions over a Caratheodory-reduced support.
 
 Both ascents take a trial point's value and gradient from one
 eigendecomposition of each of its matrices (the outputs of the sphere
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
 from .entropy import mutual_information_from_spectra
@@ -331,6 +329,20 @@ def _mixture_divergences(outs: np.ndarray, weights: np.ndarray, self_terms=None)
     return _divergences(outs, log_matrix(_barycenter(outs, weights)), self_terms)
 
 
+def _move_to_boundary(weights, support, delta, step_max) -> np.ndarray:
+    """Normalized weights + step * delta on ``support``: the step is cut from
+    ``step_max`` to where the first positive weight reaches zero, which drops
+    that output from the support."""
+    leaving = np.flatnonzero((delta < 0.0) & (weights[support] > WEIGHT_FLOOR))
+    reach = weights[support[leaving]] / -delta[leaving]
+    step = min(step_max, reach.min(initial=step_max))
+    q = np.zeros_like(weights)
+    q[support] = np.maximum(weights[support] + step * delta, 0.0)
+    if step < step_max:
+        q[support[leaving[np.argmin(reach)]]] = 0.0
+    return q / q.sum()
+
+
 def _weight_newton_step(
     outs: np.ndarray, weights: np.ndarray, barycenter_eig: Eigensystem, dvals: np.ndarray
 ) -> np.ndarray:
@@ -356,14 +368,7 @@ def _weight_newton_step(
     kkt[:n, :n] = hess
     kkt[n, n] = 0.0
     delta = np.linalg.lstsq(kkt, np.append(-dvals[support], 0.0), rcond=None)[0][:n]
-    leaving = np.flatnonzero((delta < 0.0) & (weights[support] > WEIGHT_FLOOR))
-    reach = weights[support[leaving]] / -delta[leaving]
-    step = min(1.0, reach.min(initial=1.0))
-    q = np.zeros_like(weights)
-    q[support] = np.clip(weights[support] + step * delta, 0.0, None)
-    if step < 1.0:
-        q[support[leaving[np.argmin(reach)]]] = 0.0
-    return q / q.sum()
+    return _move_to_boundary(weights, support, delta, 1.0)
 
 
 def _ensemble_weights(
@@ -376,13 +381,17 @@ def _ensemble_weights(
     """Optimal weights over a fixed output alphabet.
 
     Maximizes the mixture divergence chi (the restricted-alphabet capacity in
-    nats) until the optimality gap max_i D_i - chi is at most ``tol``. Newton
-    steps on the support of the start equalize the D_i; if they leave a gap,
-    an SLSQP solve finds the support and Newton steps polish its result,
-    which SLSQP alone cannot do once the gains in chi fall below rounding. A
-    new point is kept only if its exact chi is above the start's; a Newton
-    step must also lower the gap or raise chi. Returns (weights, mixture
-    divergence at those weights). ``self_terms`` may cache trace_xlogx(outs).
+    nats) until the optimality gap max_i D_i - chi is at most ``tol``, by up
+    to 20 damped Newton steps on D_i = chi. More than d^2 outputs (d the
+    output dimension) are affinely dependent and make the Newton system
+    singular, so such a support is first cut by a Caratheodory step: along a
+    null vector z of the stacked [Re vec(out_i); Im vec(out_i); 1] the
+    barycenter and the D_i stay fixed and chi is linear with slope
+    z @ self_terms, so the weights move uphill until the first one is zero.
+    That point is kept if its exact chi is not lower. A Newton step, halved
+    up to 4 times, is kept if its exact chi is above the start's and it
+    lowers the gap or raises chi. Returns (weights, chi at those weights).
+    ``self_terms`` may cache trace_xlogx(outs).
     """
     m = outs.shape[0]
     if init is not None and len(init) == m and init.min() >= 0 and init.sum() > 0:
@@ -403,46 +412,33 @@ def _ensemble_weights(
         eig = clamped_eigh(_barycenter(outs, weights, floor_state))
         return _divergences(outs, eigensystem_log(eig), self_terms), eig
 
-    chi_start = chi_exact(p)
-
-    def newton(p, chi, dvals, eig):
-        gap = dvals.max() - float(p @ dvals)
-        for _ in range(4):
-            if gap <= tol:
-                break
-            q = _weight_newton_step(outs, p, eig, dvals)
+    chi_start = chi = chi_exact(p)
+    dvals, eig = divergences(p)
+    gap = dvals.max() - float(p @ dvals)
+    for _ in range(20):
+        if gap <= tol:
+            break
+        support = np.flatnonzero(p > WEIGHT_FLOOR)
+        if support.size > outs.shape[1] ** 2:
+            flat = outs[support].reshape(support.size, -1)
+            z = np.linalg.svd(np.vstack([flat.real.T, flat.imag.T, np.ones(support.size)]))[2][-1]
+            q = _move_to_boundary(p, support, z if z @ self_terms[support] >= 0.0 else -z, np.inf)
+            chi_q = chi_exact(q)
+            if chi_q >= chi:
+                p, chi, gap = q, chi_q, dvals.max() - float(q @ dvals)
+        direction = _weight_newton_step(outs, p, eig, dvals) - p
+        for shrink in (1.0, 2.0, 4.0, 8.0, 16.0):
+            q = p + direction / shrink
+            chi_q = chi_exact(q)
+            if chi_q <= chi_start:
+                continue
             dvals_q, eig_q = divergences(q)
             gap_q = dvals_q.max() - float(q @ dvals_q)
-            chi_q = chi_exact(q)
-            if chi_q <= chi_start or (gap_q >= gap and chi_q <= chi):
+            if gap_q < gap or chi_q > chi:
+                p, chi, dvals, eig, gap = q, chi_q, dvals_q, eig_q, gap_q
                 break
-            p, chi, dvals, eig, gap = q, chi_q, dvals_q, eig_q, gap_q
-        return p, chi, dvals, eig, gap
-
-    p, chi, dvals, eig, gap = newton(p, chi_start, *divergences(p))
-    if gap <= tol:
-        return p, chi
-
-    def neg_chi(q):
-        dvals, _ = divergences(q)
-        return -float(q @ dvals), 1.0 - dvals
-
-    res = optimize.minimize(
-        neg_chi,
-        p,
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * m,
-        constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(m)}],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    q = np.clip(res.x, 0.0, None)
-    if q.sum() > 0:
-        q /= q.sum()
-        chi_q = chi_exact(q)
-        if chi_q > chi:
-            p, chi, (dvals, eig) = q, chi_q, divergences(q)
-    p, chi, _, _, _ = newton(p, chi, dvals, eig)
+        else:
+            break
     return p, chi
 
 

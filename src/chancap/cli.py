@@ -64,7 +64,7 @@ def _config_from_args(args) -> RunConfig:
         tol=args.tol,
         max_iter=args.max_iter,
         restarts=args.restarts,
-        jobs=getattr(args, "jobs", None) or os.cpu_count() or 1,
+        jobs=(os.cpu_count() or 1) if args.jobs is None else args.jobs,
         output_format=getattr(args, "format", "csv"),
         output_path=getattr(args, "out", None),
     )
@@ -254,7 +254,7 @@ def cmd_chain(args) -> int:
     chan = _load_channel(args, cfg)
     state = _parse_state(args.state, chan.d_in)
     report = certify.chain_report(
-        chan, state, sup_restarts=cfg.restarts, sup_seed=cfg.seed
+        chan, state, tol=cfg.tol, sup_restarts=cfg.restarts, sup_seed=cfg.seed
     )
     names = [
         "mutual_info",
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
         p.add_argument("--restarts", type=int, default=32)
         p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if trials:
             p.add_argument("--trials", type=int, default=100)
@@ -400,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="compute both capacities of a channel")
     common(p_cap, channel=True)
+    p_cap.add_argument("--format", choices=["csv", "json"], default="csv")
     p_cap.set_defaults(func=cmd_capacity)
 
     p_ratio = sub.add_parser(

@@ -244,19 +244,28 @@ class TestInnerSolvers:
         assert abs(value - relative_entropy(chan.apply(np.eye(1)), sigma).value) < 1e-12
 
     def test_ensemble_weights_close_the_gap_on_degenerate_alphabets(self):
-        # five qubit outputs (more than d_out^2 = 4) leave chi linear along
-        # barycenter-preserving directions; two witnesses with overlap
-        # 1 - 1e-9 make the optimality system nearly singular
+        # five and nine qubit outputs, and twelve qutrit outputs (more than
+        # d_out^2 = 4 and 9), leave chi linear along barycenter-preserving
+        # directions; two witnesses with overlap 1 - 1e-9 make the optimality
+        # system nearly singular
         for trial in range(6):
-            chan = random_channel(2, 2, seed=(60, trial))
-            anchor = chan.apply(np.eye(2) / 2)
-            crowded = np.array([random_pure_state(2, (61, trial, i)) for i in range(5)])
+            qubit = random_channel(2, 2, seed=(60, trial))
+            qutrit = random_channel(3, 3, seed=(62, trial))
+            wide = np.array([random_pure_state(2, (61, trial, i)) for i in range(9)])
+            crowded = wide[:5]
             a = crowded[0]
             perp = np.array([-a[1].conj(), a[0].conj()])
             b = math.sqrt(1.0 - 1e-9) * a + math.sqrt(1e-9) * perp
             assert abs(abs(np.vdot(a, b)) ** 2 - (1.0 - 1e-9)) < 1e-15
             twins = np.array([a, b, crowded[1], crowded[2]])
-            for states in (crowded, twins):
+            qutrit_wide = np.array([random_pure_state(3, (63, trial, i)) for i in range(12)])
+            for chan, states in (
+                (qubit, crowded),
+                (qubit, twins),
+                (qubit, wide),
+                (qutrit, qutrit_wide),
+            ):
+                anchor = chan.apply(np.eye(chan.d_in) / chan.d_in)
                 outs = _batch_outputs(chan, states)
                 uniform = np.full(len(states), 1.0 / len(states))
                 weights, chi = _ensemble_weights(outs, anchor, 1e-11)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chancap import channel_to_json, identity_channel
+from chancap import certify, channel_to_json, identity_channel
 from chancap.cli import main
 
 
@@ -136,6 +136,19 @@ class TestChainCommand:
         assert res.returncode == 1
         assert "pure state required" in res.stderr
 
+    def test_tol_reaches_chain_report(self, monkeypatch, capsys):
+        seen = {}
+        real = certify.chain_report
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "chain_report", spy)
+        assert main(["chain", "--named", "identity:d=2", "--tol", "1e-5"]) == 0
+        assert seen["tol"] == 1e-5
+        assert "monotone_ok,True" in capsys.readouterr().out
+
     def test_non_numeric_state_rejected(self):
         for spec in ('{"a": 1}', '[{"a": 1}, 0, 0, 0]'):
             res = run_cli("chain", "--named", "identity:d=2", "--state", spec)
@@ -191,6 +204,16 @@ class TestConfigValidation:
         res = run_cli("capacity", "--named", "amplitude:d=2")
         assert res.returncode == 1
 
+    def test_zero_jobs(self):
+        res = run_cli("verify-sandwich", "--trials", "3", "--jobs", "0")
+        assert res.returncode == 1
+        assert "jobs" in res.stderr
+
+    def test_format_only_on_capacity(self):
+        res = run_cli("sweep", "--format", "json", "--points", "3")
+        assert res.returncode == 1
+        assert "--format" in res.stderr
+
 
 class TestParallelism:
     def test_jobs_flag_keeps_output_stable(self):
@@ -198,3 +221,10 @@ class TestParallelism:
         parallel = run_cli("verify-sandwich", "--trials", "40", "--din", "3", "--jobs", "4")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, chancap; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
-from .entropy import mutual_information_from_spectra
+from .entropy import KERNEL_THRESHOLD, mutual_information_from_spectra
 from .linalg import (
     Eigensystem,
     clamped_eigh,
@@ -37,14 +37,28 @@ from .linalg import (
 )
 
 LN2 = float(np.log(2.0))
-DEFAULT_TOL = 1e-7
+DEFAULT_TOL = 1e-7  # nats; the gap at which both solvers stop, and the chain's slack
 DEFAULT_MAX_ITER = 5000
 DEFAULT_RESTARTS = 32
-ARMIJO = 1e-4
-STEP_FLOOR = 1e-8
-BARYCENTER_MIX = 1e-12
-RATIO_CUTOFF_BITS = 1e-9
+SUP_RESTARTS = 8  # random sphere-ascent starts of the standalone supremum and of the sweep
+SWEEP_TOL = 1e-10  # the depolarizing sweep solves at least this tightly
+SWEEP_MAX_ITER = 2000
+RATIO_CUTOFF_BITS = 1e-9  # C_E / C_H is undefined where C_H is at or below this (0/0 region)
+ANCHOR_MIX = 1e-12  # weight of the anchor state mixed in so that a logarithm is defined
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
+ARMIJO = 1e-4  # sufficient-increase constant of every line search
+STEP_FLOOR = 1e-8  # smallest step of the mirror ascent
+BB_STEP_RANGE = (1e-3, 1e3)  # clip of the sphere ascent's Barzilai-Borwein steps
+MAX_HALVINGS = 25  # halvings per sphere-ascent line search
+MIN_RETRY_STEP = 1e-14  # a failed row retries from at least this step; below, float precision
+MAX_SEARCHES = 300  # line searches per sphere-ascent row
+GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
+NEWTON_STEPS = 20  # damped Newton steps per weight solve
+WEIGHT_TOL_CAP = 1e-11  # cap on the weight solve's gap tolerance 0.02 tol
+MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
+MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope,
+MIN_POSITION_STEP = 1e-10  # or when their line search fails below this step
+DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
 
 
 @dataclass
@@ -88,13 +102,13 @@ def _gradient_from_logs(channel, ln_rho, ln_out, ln_env) -> np.ndarray:
 def mutual_information_gradient(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the mutual information with respect to the input state.
 
-    Rank-deficient inputs are first mixed with 1e-12 of the maximally mixed
-    state so the logarithm is defined.
+    Rank-deficient inputs are first mixed with ANCHOR_MIX of the maximally
+    mixed state so the logarithm is defined.
     """
     rho = np.asarray(rho, dtype=complex)
     d = channel.d_in
-    if float(np.linalg.eigvalsh(rho)[0]) < 1e-12:
-        rho = (rho + 1e-12 * np.eye(d) / d) / (1.0 + 1e-12)
+    if float(np.linalg.eigvalsh(rho)[0]) < KERNEL_THRESHOLD:
+        rho = (rho + ANCHOR_MIX * np.eye(d) / d) / (1.0 + ANCHOR_MIX)
     return _gradient_from_logs(
         channel,
         log_matrix(rho),
@@ -127,7 +141,7 @@ def _assisted_point(channel: QuantumChannel, h: np.ndarray) -> _AssistedPoint:
 def _assisted_gradient(channel: QuantumChannel, point: _AssistedPoint) -> np.ndarray:
     """The mutual information gradient at the point; from its eigensystems
     unless rho is rank-deficient, where the public function mixes it first."""
-    if point.eigensystems[0].values[0] < 1e-12:
+    if point.eigensystems[0].values[0] < KERNEL_THRESHOLD:
         return mutual_information_gradient(channel, point.rho)
     return _gradient_from_logs(channel, *map(eigensystem_log, point.eigensystems))
 
@@ -218,21 +232,20 @@ def _sphere_ascent(
     channel: QuantumChannel,
     ln_sigma: np.ndarray,
     starts: np.ndarray,
-    max_steps: int = 300,
-    grad_tol: float = 1e-6,
+    grad_tol: float = GRAD_TOL_RANGE[1],
 ):
     """Batched projected gradient ascent of D(T(psi)||sigma) on the unit sphere.
 
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
     step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
-    clipped to [1e-3, 1e3]; where Re<s,y> <= 0, as before a row first moves,
+    clipped to BB_STEP_RANGE; where Re<s,y> <= 0, as before a row first moves,
     it starts from its own doubled last step instead. A round evaluates value
     and gradient at the trial point of every active row from one batched
     eigendecomposition: an accepted row moves and holds the gradient for its
     next step, a rejected row halves its step for the next round. Rows retire
-    once their tangent gradient is below ``grad_tol``, after ``max_steps``
-    line searches, or when 25 halvings fail below a step of 1e-14; row values
-    never decrease. Returns the final (values, states) for every row.
+    once their tangent gradient is below ``grad_tol``, after MAX_SEARCHES
+    line searches, or when MAX_HALVINGS halvings fail below MIN_RETRY_STEP;
+    row values never decrease. Returns the final (values, states) for every row.
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
@@ -249,13 +262,13 @@ def _sphere_ascent(
 
     def start_searches(rows):
         """Start a line search on each row not yet converged or out of searches."""
-        rows = rows[(norms[rows] > grad_tol) & (searches[rows] < max_steps)]
+        rows = rows[(norms[rows] > grad_tol) & (searches[rows] < MAX_SEARCHES)]
         s = psi[rows] - prev_psi[rows]
         y = prev_tangent[rows] - tangent[rows]
         sy = np.einsum("ri,ri->r", s.conj(), y).real
         use_bb = sy > 0.0
         bb = sy / np.where(use_bb, np.linalg.norm(y, axis=1) ** 2, 1.0)
-        alpha[rows] = np.where(use_bb, np.clip(bb, 1e-3, 1e3), steps[rows])
+        alpha[rows] = np.where(use_bb, np.clip(bb, *BB_STEP_RANGE), steps[rows])
         prev_psi[rows] = psi[rows]
         prev_tangent[rows] = tangent[rows]
         halvings[rows] = 0
@@ -277,23 +290,17 @@ def _sphere_ascent(
         rejected = idx[~ok]
         alpha[rejected] /= 2.0
         halvings[rejected] += 1
-        failed = rejected[halvings[rejected] == 25]
+        failed = rejected[halvings[rejected] == MAX_HALVINGS]
         ended = np.concatenate([moved, failed])
-        steps[ended] = np.minimum(alpha[ended] * 2.0, 1e3)
+        steps[ended] = np.minimum(alpha[ended] * 2.0, BB_STEP_RANGE[1])
         active[ended] = False
-        retry = failed[alpha[failed] >= 1e-14]  # below that, stuck at float precision
+        retry = failed[alpha[failed] >= MIN_RETRY_STEP]
         start_searches(np.concatenate([moved, retry]))
     return vals, psi
 
 
 def max_output_divergence(
-    channel: QuantumChannel,
-    sigma: np.ndarray,
-    restarts: int = 8,
-    seed=0,
-    extra_starts: np.ndarray | None = None,
-    max_steps: int = 300,
-    grad_tol: float = 1e-6,
+    channel: QuantumChannel, sigma: np.ndarray, restarts: int = SUP_RESTARTS, seed=0
 ):
     """Heuristic supremum of D(T(psi)||sigma) over pure inputs.
 
@@ -304,20 +311,18 @@ def max_output_divergence(
     d = channel.d_in
     g = seeded_rng(seed)
     starts = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
-    if extra_starts is not None and len(extra_starts):
-        starts = np.concatenate([np.asarray(extra_starts, dtype=complex), starts])
     ln_sigma = log_matrix(np.asarray(sigma, dtype=complex))
-    vals, psi = _sphere_ascent(channel, ln_sigma, starts, max_steps=max_steps, grad_tol=grad_tol)
+    vals, psi = _sphere_ascent(channel, ln_sigma, starts)
     best = int(np.argmax(vals))
     return float(vals[best]), psi[best]
 
 
 def _barycenter(outs: np.ndarray, weights: np.ndarray, anchor: np.ndarray | None = None):
-    """Weighted average of the outputs, mixed with BARYCENTER_MIX of ``anchor`` if given."""
+    """Weighted average of the outputs, mixed with ANCHOR_MIX of ``anchor`` if given."""
     avg = np.einsum("r,rij->ij", weights, outs)
     if anchor is None:
         return avg
-    return (1.0 - BARYCENTER_MIX) * avg + BARYCENTER_MIX * anchor
+    return (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * anchor
 
 
 def _mixture_divergences(outs: np.ndarray, weights: np.ndarray, self_terms=None) -> np.ndarray:
@@ -382,7 +387,7 @@ def _ensemble_weights(
 
     Maximizes the mixture divergence chi (the restricted-alphabet capacity in
     nats) until the optimality gap max_i D_i - chi is at most ``tol``, by up
-    to 20 damped Newton steps on D_i = chi. More than d^2 outputs (d the
+    to NEWTON_STEPS damped Newton steps on D_i = chi. More than d^2 outputs (d the
     output dimension) are affinely dependent and make the Newton system
     singular, so such a support is first cut by a Caratheodory step: along a
     null vector z of the stacked [Re vec(out_i); Im vec(out_i); 1] the
@@ -395,7 +400,7 @@ def _ensemble_weights(
     """
     m = outs.shape[0]
     if init is not None and len(init) == m and init.min() >= 0 and init.sum() > 0:
-        p = np.clip(init, 1e-16, None)
+        p = np.clip(init, MIN_START_WEIGHT, None)
         p = p / p.sum()
     else:
         p = np.full(m, 1.0 / m)
@@ -415,7 +420,7 @@ def _ensemble_weights(
     chi_start = chi = chi_exact(p)
     dvals, eig = divergences(p)
     gap = dvals.max() - float(p @ dvals)
-    for _ in range(20):
+    for _ in range(NEWTON_STEPS):
         if gap <= tol:
             break
         support = np.flatnonzero(p > WEIGHT_FLOOR)
@@ -462,11 +467,11 @@ def _improve_positions(
         _, grads = _divergences_and_grads(channel, ln_avg, witnesses)
         tangent = _tangent(witnesses, grads)
         slope = float(weights @ np.linalg.norm(tangent, axis=1) ** 2)
-        if slope <= 1e-16:
+        if slope <= MIN_SLOPE:
             break
         step = 1.0
         moved = False
-        while step >= 1e-10:
+        while step >= MIN_POSITION_STEP:
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             cand_outs = pure_outputs(channel, cand)
@@ -511,8 +516,8 @@ def holevo_quantity(
     gap = float("inf")
     converged = False
     iterations = 0
-    ba_tol = min(1e-11, 0.02 * tol)
-    grad_tol = min(1e-6, max(1e-9, np.sqrt(tol) / 30.0))
+    ba_tol = min(WEIGHT_TOL_CAP, 0.02 * tol)
+    grad_tol = min(GRAD_TOL_RANGE[1], max(GRAD_TOL_RANGE[0], np.sqrt(tol) / 30.0))
     for iterations in range(1, max_iter + 1):
         g = seeded_rng(seed, iterations)
         fresh = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
@@ -524,7 +529,7 @@ def holevo_quantity(
         if value < value_best:  # keep the best reference seen, not the last
             value_best = value
             sigma_best = sigma
-        if not any(abs(np.vdot(states[best], wv)) ** 2 >= 1.0 - 1e-10 for wv in witnesses):
+        if not any(abs(np.vdot(states[best], wv)) ** 2 >= DUPLICATE_OVERLAP for wv in witnesses):
             witnesses = np.concatenate([witnesses, states[best][None, :]])
         outs = pure_outputs(channel, witnesses)
         init = None
@@ -554,6 +559,11 @@ def holevo_quantity(
     )
 
 
+def capacity_ratio(ce_bits: float, ch_bits: float) -> float | None:
+    """C_E / C_H, or None where C_H is at most RATIO_CUTOFF_BITS (the 0/0 region)."""
+    return ce_bits / ch_bits if ch_bits > RATIO_CUTOFF_BITS else None
+
+
 def depolarizing_grid(d: int = 2, points: int = 81) -> list[float]:
     """Uniform grid over the completely positive range [0, d^2/(d^2-1)], plus 0.999."""
     p_max = depolarizing_cp_limit(d)
@@ -563,16 +573,15 @@ def depolarizing_grid(d: int = 2, points: int = 81) -> list[float]:
 def depolarizing_capacity_sweep(
     d: int = 2,
     p_grid=None,
-    tol: float = 1e-10,
-    restarts: int = 8,
-    max_iter: int = 2000,
+    tol: float = SWEEP_TOL,
+    restarts: int = SUP_RESTARTS,
+    max_iter: int = SWEEP_MAX_ITER,
     seed=0,
 ) -> list[SweepPoint]:
     """Both capacities of the depolarizing family over a grid of mixing weights.
 
     The default grid is 81 uniform points on the completely positive range
-    plus the near-total-noise probe 0.999. The ratio is reported as None
-    where the Holevo quantity falls below 1e-9 bits (0/0 region).
+    plus the near-total-noise probe 0.999. The ratio is ``capacity_ratio``.
     """
     if p_grid is None:
         p_grid = depolarizing_grid(d)
@@ -581,8 +590,6 @@ def depolarizing_capacity_sweep(
         chan = depolarizing_channel(d, float(p))
         ce = entanglement_assisted_capacity(chan, tol=tol, max_iter=max_iter)
         ch = holevo_quantity(chan, tol=tol, restarts=restarts, max_iter=max_iter, seed=seed)
-        ratio = None
-        if ch.value_bits > RATIO_CUTOFF_BITS:
-            ratio = ce.value_bits / ch.value_bits
+        ratio = capacity_ratio(ce.value_bits, ch.value_bits)
         rows.append(SweepPoint(float(p), ce.value_bits, ch.value_bits, ratio))
     return rows

@@ -20,16 +20,19 @@ from itertools import permutations
 import numpy as np
 
 from .capacity import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
+    SUP_RESTARTS,
     entanglement_assisted_capacity,
     holevo_quantity,
     max_output_divergence,
 )
 from .channels import QuantumChannel, pure_outputs
 from .entropy import log_derivative_form, lower_bound_factor, mutual_information, relative_entropy
-from .linalg import SchmidtDecomposition, check_density_matrix, partial_trace, schmidt_decompose
-
-CHAIN_TOL = 1e-7  # nats; all chain quantities are closed-form eigenbasis evaluations
-PURE_STATE_TOL = 1e-8  # allowed deviation of a pure input's norm or purity from 1
+from .linalg import (
+    INPUT_TOL, SchmidtDecomposition, check_density_matrix, partial_trace, schmidt_decompose
+)
 
 
 @dataclass
@@ -161,21 +164,21 @@ def support_margins(
 
 def _pure_vector(state, d: int) -> np.ndarray:
     """Unit vector of a pure input: a unit vector of length d^2 (renormalized), or a
-    d^2 x d^2 density matrix of purity one, both within PURE_STATE_TOL."""
+    d^2 x d^2 density matrix of purity one, both within INPUT_TOL."""
     n = d * d
     state = np.asarray(state, dtype=complex)
     if state.shape == (n, n):
         try:
-            check_density_matrix(state)
+            check_density_matrix(state, INPUT_TOL)
         except ValueError as exc:
             raise ValueError(f"pure state required: {exc}") from exc
-        if abs(np.trace(state @ state).real - 1.0) > PURE_STATE_TOL:
+        if abs(np.trace(state @ state).real - 1.0) > INPUT_TOL:
             raise ValueError("pure state required")
         return np.linalg.eigh(state)[1][:, -1]
     if state.shape != (n,):
         raise ValueError(f"state of shape {state.shape} is neither a length-{n} vector nor {n}x{n}")
     nrm = np.linalg.norm(state)
-    if not abs(nrm - 1.0) <= PURE_STATE_TOL:  # also rejects non-finite entries
+    if not abs(nrm - 1.0) <= INPUT_TOL:  # also rejects non-finite entries
         raise ValueError(f"state vector is not normalized (norm {nrm!r})")
     return state / nrm
 
@@ -184,8 +187,8 @@ def chain_report(
     channel: QuantumChannel,
     state,
     tau=None,
-    tol: float = CHAIN_TOL,
-    sup_restarts: int = 8,
+    tol: float = DEFAULT_TOL,
+    sup_restarts: int = SUP_RESTARTS,
     sup_seed=0,
 ) -> ChainReport:
     """Evaluate every link of the upper-bound chain on one pure bipartite input.
@@ -264,9 +267,9 @@ def chain_report(
 
 def verify_ratio_bound(
     channel: QuantumChannel,
-    tol: float = 1e-7,
-    restarts: int = 32,
-    max_iter: int = 5000,
+    tol: float = DEFAULT_TOL,
+    restarts: int = DEFAULT_RESTARTS,
+    max_iter: int = DEFAULT_MAX_ITER,
     seed=0,
 ) -> RatioBoundCheck:
     """Solve both capacities and report the prefactor slack for one channel.

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eig, maximally_entangled_state, partial_trace, seeded_rng
+from .linalg import (
+    VALIDATION_TOL, hermitian_eig, maximally_entangled_state, partial_trace, seeded_rng
+)
 
-TRACE_PRESERVING_TOL = 1e-10
-CHOI_PSD_TOL = 1e-10
-KRAUS_CUTOFF = 1e-14
+KRAUS_CUTOFF = 1e-14  # Choi eigenvalues at or below this give no Kraus operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,7 +23,7 @@ class QuantumChannel:
     """
 
     kraus: np.ndarray
-    atol: float = field(default=TRACE_PRESERVING_TOL, compare=False)
+    atol: float = field(default=VALIDATION_TOL, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.kraus, dtype=complex)
@@ -74,7 +74,7 @@ class QuantumChannel:
         omega = maximally_entangled_state(self.d_in)
         return self.apply_extended(np.outer(omega, omega.conj()))
 
-    def check_complete_positivity(self, tol: float = CHOI_PSD_TOL) -> float:
+    def check_complete_positivity(self, tol: float = VALIDATION_TOL) -> float:
         """Minimum Choi eigenvalue; raises if below -tol."""
         lam_min = float(np.linalg.eigvalsh(self.choi())[0])
         if lam_min < -tol:
@@ -179,7 +179,7 @@ def channel_to_json(channel: QuantumChannel) -> str:
     return json.dumps(payload)
 
 
-def channel_from_json(text: str, atol: float = TRACE_PRESERVING_TOL) -> QuantumChannel:
+def channel_from_json(text: str, atol: float = VALIDATION_TOL) -> QuantumChannel:
     """Parse the interchange format; validates shapes and trace preservation."""
     payload = json.loads(text)
     try:

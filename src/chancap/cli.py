@@ -18,8 +18,6 @@ import numpy as np
 
 from . import capacity, certify, channels, entropy, linalg
 
-FILE_VALIDATION_TOL = 1e-8
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_CONVERGED = 2
@@ -28,16 +26,16 @@ EXIT_INCONCLUSIVE = 3
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    trials: int = 100
-    d_in: int = 2
-    d_out: int = 2
-    tol: float = 1e-7
-    max_iter: int = 5000
-    restarts: int = 32
-    jobs: int = 1
-    output_format: str = "csv"
-    output_path: str | None = None
+    seed: int
+    trials: int
+    d_in: int
+    d_out: int
+    tol: float
+    max_iter: int
+    restarts: int
+    jobs: int
+    output_format: str
+    output_path: str | None
 
     def validate(self) -> None:
         if self.tol <= 0:
@@ -72,7 +70,7 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _load_channel(args, cfg: RunConfig) -> channels.QuantumChannel:
+def _load_channel(args) -> channels.QuantumChannel:
     named = getattr(args, "named", None)
     path = getattr(args, "channel_file", None)
     if named and path:
@@ -86,10 +84,10 @@ def _load_channel(args, cfg: RunConfig) -> channels.QuantumChannel:
     except OSError as exc:
         raise ValueError(f"cannot read channel file: {exc}") from exc
     try:
-        chan = channels.channel_from_json(text, atol=FILE_VALIDATION_TOL)
+        chan = channels.channel_from_json(text, atol=linalg.INPUT_TOL)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    chan.check_complete_positivity(tol=FILE_VALIDATION_TOL)
+    chan.check_complete_positivity(tol=linalg.INPUT_TOL)
     return chan
 
 
@@ -130,12 +128,12 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_capacity(args) -> int:
     cfg = _config_from_args(args)
-    chan = _load_channel(args, cfg)
+    chan = _load_channel(args)
     ce = capacity.entanglement_assisted_capacity(chan, tol=cfg.tol, max_iter=cfg.max_iter)
     ch = capacity.holevo_quantity(
         chan, tol=cfg.tol, restarts=cfg.restarts, max_iter=cfg.max_iter, seed=cfg.seed
     )
-    ratio = ce.value_bits / ch.value_bits if ch.value_bits > capacity.RATIO_CUTOFF_BITS else None
+    ratio = capacity.capacity_ratio(ce.value_bits, ch.value_bits)
     record = {
         "ce_bits": ce.value_bits,
         "ch_bits": ch.value_bits,
@@ -185,11 +183,11 @@ def cmd_verify_ratio(args) -> int:
         for i in range(cfg.trials)
     ]
     results = _run_trials(_ratio_trial, payloads, cfg.jobs)
-    tol_bits = cfg.tol / np.log(2.0)
+    tol_bits = cfg.tol / capacity.LN2
     lines = ["trial,ce_bits,ch_bits,ratio,prefactor,slack_bits,converged"]
     inconclusive = 0
     for i, r in enumerate(results):
-        ratio = r.ce_bits / r.ch_bits if r.ch_bits > capacity.RATIO_CUTOFF_BITS else None
+        ratio = capacity.capacity_ratio(r.ce_bits, r.ch_bits)
         conv = r.ce_converged and r.ch_converged
         inconclusive += not conv
         lines.append(
@@ -251,7 +249,7 @@ def _parse_state(spec: str, d: int) -> np.ndarray:
 
 def cmd_chain(args) -> int:
     cfg = _config_from_args(args)
-    chan = _load_channel(args, cfg)
+    chan = _load_channel(args)
     state = _parse_state(args.state, chan.d_in)
     report = certify.chain_report(
         chan, state, tol=cfg.tol, sup_restarts=cfg.restarts, sup_seed=cfg.seed
@@ -289,7 +287,7 @@ def _sweep_rows(cfg: RunConfig, points: int):
 def _sweep_point(payload):
     seed, p, tol, restarts, max_iter = payload
     rows = capacity.depolarizing_capacity_sweep(
-        2, [p], tol=min(tol, 1e-10), restarts=restarts, max_iter=max_iter, seed=seed
+        2, [p], tol=min(tol, capacity.SWEEP_TOL), restarts=restarts, max_iter=max_iter, seed=seed
     )
     return rows[0]
 
@@ -376,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials=False, dims=False, channel=False):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance in nats")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
-        p.add_argument("--restarts", type=int, default=32)
+        p.add_argument(
+            "--tol", type=float, default=capacity.DEFAULT_TOL, help="solver tolerance in nats"
+        )
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=capacity.DEFAULT_MAX_ITER)
+        p.add_argument("--restarts", type=int, default=capacity.DEFAULT_RESTARTS)
         p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if trials:
@@ -439,10 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

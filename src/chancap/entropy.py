@@ -14,6 +14,7 @@ import numpy as np
 
 from .channels import QuantumChannel
 from .linalg import (
+    INPUT_TOL,
     clamped_eigenvalues,
     floored_log,
     hermitian_eig,
@@ -22,11 +23,8 @@ from .linalg import (
     xlogx_sum,
 )
 
-KERNEL_THRESHOLD = 1e-12   # eigenvalues of the reference at or below this count as kernel
-KERNEL_MASS_TOL = 1e-10    # mass of the argument on that kernel before declaring infinity
-ZERO_ELEMENT_TOL = 1e-10   # matrix elements below this are treated as vanishing
-FULL_RANK_TOL = 1e-8
-REFERENCE_HERMITICITY_TOL = 1e-8  # allowed non-Hermiticity of a reference state
+KERNEL_THRESHOLD = 1e-12  # eigenvalues of the reference at or below this count as kernel
+KERNEL_MASS_TOL = 1e-10  # mass or matrix element of the argument on that kernel that stays finite
 
 
 class RelEntropyResult(NamedTuple):
@@ -52,7 +50,7 @@ def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
     tau = np.asarray(tau, dtype=complex)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
-    mu, h = hermitian_eig(tau, atol=REFERENCE_HERMITICITY_TOL)
+    mu, h = hermitian_eig(tau, atol=INPUT_TOL)
     support = mu > KERNEL_THRESHOLD
     diag = np.einsum("ki,ij,jk->k", h.conj().T, rho, h).real
     kernel_mass = float(np.sum(diag[~support]))
@@ -67,21 +65,21 @@ def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
 
     Equals sum_{k,l} |<h_k|eta|h_l>|^2 (ln mu_k - ln mu_l)/(mu_k - mu_l) over
     the eigenpairs of ``tau``, with the tie convention 1/mu_k. Pairs touching
-    the kernel of ``tau`` contribute zero when the matrix element vanishes and
-    make the form infinite otherwise. ``tau`` may be any positive semidefinite
-    operator; it is not assumed to have unit trace.
+    the kernel of ``tau`` contribute zero when the matrix element is at most
+    ``KERNEL_MASS_TOL`` and make the form infinite otherwise. ``tau`` may be
+    any positive semidefinite operator; it is not assumed to have unit trace.
     """
     tau = np.asarray(tau, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     if tau.shape != eta.shape:
         raise ValueError(f"shape mismatch {tau.shape} vs {eta.shape}")
-    mu, h = hermitian_eig(tau, atol=REFERENCE_HERMITICITY_TOL)
+    mu, h = hermitian_eig(tau, atol=INPUT_TOL)
     m = h.conj().T @ eta @ h
     a = np.abs(m) ** 2
     support = mu > KERNEL_THRESHOLD
     if not np.all(support):
         touching = ~(support[:, None] & support[None, :])
-        if np.any(np.abs(m[touching]) > ZERO_ELEMENT_TOL):
+        if np.any(np.abs(m[touching]) > KERNEL_MASS_TOL):
             return float("inf")
     mu_s = mu[support]
     if mu_s.size == 0:
@@ -109,8 +107,8 @@ def lower_bound_factor(k: float) -> float:
 
 def dominance_constant(rho: np.ndarray, tau: np.ndarray) -> float:
     """Smallest k >= 1 with k tau >= rho, from the tau-whitened spectral radius."""
-    mu, h = hermitian_eig(np.asarray(tau, dtype=complex), atol=REFERENCE_HERMITICITY_TOL)
-    if mu[0] <= FULL_RANK_TOL:
+    mu, h = hermitian_eig(np.asarray(tau, dtype=complex), atol=INPUT_TOL)
+    if mu[0] <= INPUT_TOL:  # singular within the accuracy of outside data
         raise ValueError(f"reference state must be full rank (min eigenvalue {mu[0]:.3e})")
     whitener = h / np.sqrt(mu)
     white = whitener.conj().T @ np.asarray(rho, dtype=complex) @ whitener

@@ -7,10 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
-UNIT_NORM_TOL = 1e-10
+VALIDATION_TOL = 1e-10  # allowed deviation of library-built data: Hermiticity, trace, norm, PSD
+INPUT_TOL = 1e-8  # allowed deviation of data from outside: channel files, pure inputs, references
 LOG_FLOOR = 1e-30
 
 
@@ -84,7 +82,7 @@ def partial_trace(m: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray
     raise ValueError("keep must be 0 or 1")
 
 
-def hermitian_eig(m: np.ndarray, atol: float = HERMITICITY_TOL) -> Eigensystem:
+def hermitian_eig(m: np.ndarray, atol: float = VALIDATION_TOL) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is symmetrized as (m + m^dagger)/2 before decomposition;
@@ -98,7 +96,7 @@ def hermitian_eig(m: np.ndarray, atol: float = HERMITICITY_TOL) -> Eigensystem:
     return Eigensystem(w, v)
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-10) -> PsdCheck:
+def is_psd(m: np.ndarray, tol: float = VALIDATION_TOL) -> PsdCheck:
     """Positive semidefiniteness check with the minimum eigenvalue reported."""
     m = np.asarray(m, dtype=complex)
     w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
@@ -113,7 +111,7 @@ def schmidt_decompose(v: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposit
     if v.shape[0] != d1 * d2:
         raise ValueError(f"vector length {v.shape[0]} does not match dims {d1}x{d2}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+    if abs(nrm - 1.0) > VALIDATION_TOL:
         raise ValueError(f"vector is not normalized (norm {nrm!r})")
     u, s, vh = np.linalg.svd(v.reshape(d1, d2), full_matrices=True)
     right = vh.T.copy()  # columns f_k with entries f_k[j] = vh[k, j]
@@ -153,26 +151,21 @@ def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    eig_tol: float = EIGENVALUE_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> None:
-    """Raise ValueError unless ``rho`` is Hermitian, PSD, and unit trace."""
+def check_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
+    """Raise ValueError unless ``rho`` is Hermitian, PSD, and unit trace, each within ``tol``."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("state contains non-finite entries")
     dev = np.max(np.abs(rho - rho.conj().T))
-    if dev > herm_tol:
+    if dev > tol:
         raise ValueError(f"state is not Hermitian (max deviation {dev:.3e})")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > tol:
         raise ValueError(f"state trace is {tr!r}, expected 1")
     lam_min = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if lam_min < -eig_tol:
+    if lam_min < -tol:
         raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
 
 

@@ -10,8 +10,8 @@ import numpy as np
 from scipy import integrate
 
 from chancap.channels import QuantumChannel
-from chancap.entropy import FULL_RANK_TOL, log_derivative_form, relative_entropy
-from chancap.linalg import hermitian_eig
+from chancap.entropy import log_derivative_form, relative_entropy
+from chancap.linalg import INPUT_TOL, hermitian_eig
 
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-10
@@ -50,7 +50,7 @@ def relative_entropy_via_integral(rho: np.ndarray, tau: np.ndarray) -> float:
     tau = np.asarray(tau, dtype=complex)
     for name, state in (("rho", rho), ("tau", tau)):
         lam_min = float(np.linalg.eigvalsh(state)[0])
-        if lam_min <= FULL_RANK_TOL:
+        if lam_min <= INPUT_TOL:
             raise ValueError(f"{name} must be full rank (min eigenvalue {lam_min:.3e})")
     eta = rho - tau
 

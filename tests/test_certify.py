@@ -172,12 +172,23 @@ class TestChainReport:
         v = bell_vector()
         report = chain_report(identity_channel(2), np.outer(v, v.conj()))
         assert report.monotone_ok
+        # asymmetric by 1e-11, or with trace 1 + 5e-9: within the input tolerance
+        skewed = np.zeros((4, 4))
+        skewed[0, 0] = skewed[0, 3] = skewed[3, 3] = 0.5
+        skewed[3, 0] = 0.50000000001
+        for state in (skewed, (1.0 + 5e-9) * np.outer(v, v.conj())):
+            assert chain_report(identity_channel(2), state).monotone_ok
 
     def test_rejects_mixed_state(self):
         # trace 1 but mixed; trace 2; and a negative operator of purity one
         for state in (np.eye(4) / 4, np.eye(4) / 2, -np.diag([1.0, 0.0, 0.0, 0.0])):
             with pytest.raises(ValueError, match="pure state"):
                 chain_report(identity_channel(2), state)
+        # an asymmetry of 1e-7 is beyond the input tolerance
+        skewed = np.outer(bell_vector(), bell_vector().conj())
+        skewed[3, 0] += 1e-7
+        with pytest.raises(ValueError, match="not Hermitian"):
+            chain_report(identity_channel(2), skewed)
 
     def test_head_is_mutual_information_of_right_marginal(self):
         for trial in range(6):

@@ -240,3 +240,7 @@ class TestJsonFormat:
         kraus = np.eye(2, dtype=complex)[None, :, :] * 0.5
         with pytest.raises(ValueError, match="trace preserving"):
             QuantumChannel(kraus)
+        # trace deviation 5e-11 is within VALIDATION_TOL, 2e-10 is not
+        QuantumChannel(np.eye(2, dtype=complex)[None, :, :] * np.sqrt(1.0 + 5e-11))
+        with pytest.raises(ValueError, match="trace preserving"):
+            QuantumChannel(np.eye(2, dtype=complex)[None, :, :] * np.sqrt(1.0 + 2e-10))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from chancap import certify, channel_to_json, identity_channel
-from chancap.cli import main
+from chancap import capacity, certify, channel_to_json, identity_channel
+from chancap.cli import build_parser, main
 
 
 def run_cli(*args, timeout=300):
@@ -65,6 +66,11 @@ class TestCapacityCommand:
         res = run_cli("capacity", str(bad))
         assert res.returncode == 1
         assert "trace preserving" in res.stderr
+        # files are held to INPUT_TOL: a trace deviation of 5e-8 is rejected, 5e-9 is not
+        for dev, code in ((5e-8, 1), (5e-9, 0)):
+            payload["kraus"][0][0][0] = [float(np.sqrt(1.0 + dev)), 0.0]
+            bad.write_text(json.dumps(payload))
+            assert main(["chain", str(bad)]) == code
 
     def test_missing_channel(self):
         res = run_cli("capacity")
@@ -191,6 +197,21 @@ class TestSweepCommand:
 
 
 class TestConfigValidation:
+    def test_defaults_come_from_capacity(self):
+        parser = build_parser()
+        for command in ("capacity", "verify-ratio", "verify-sandwich", "chain", "sweep"):
+            args = parser.parse_args([command])
+            assert args.tol == capacity.DEFAULT_TOL
+            assert args.restarts == capacity.DEFAULT_RESTARTS
+            assert args.max_iter == capacity.DEFAULT_MAX_ITER
+        ratio = inspect.signature(certify.verify_ratio_bound).parameters
+        assert ratio["tol"].default == capacity.DEFAULT_TOL
+        assert ratio["restarts"].default == capacity.DEFAULT_RESTARTS
+        assert ratio["max_iter"].default == capacity.DEFAULT_MAX_ITER
+        assert inspect.signature(certify.chain_report).parameters["tol"].default == (
+            capacity.DEFAULT_TOL
+        )
+
     def test_nonpositive_tolerance(self):
         res = run_cli("verify-ratio", "--tol", "0", "--trials", "1")
         assert res.returncode == 1

@@ -61,6 +61,11 @@ class TestRelativeEntropy:
     def test_disjoint_support_is_infinite(self):
         res = relative_entropy(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
         assert res.kernel_violation and res.value == float("inf")
+        # kernel mass 5e-11 is within KERNEL_MASS_TOL, 5e-10 is not
+        finite = relative_entropy(np.diag([1.0 - 5e-11, 5e-11]), np.diag([1.0, 0.0]))
+        assert not finite.kernel_violation and np.isfinite(finite.value)
+        infinite = relative_entropy(np.diag([1.0 - 5e-10, 5e-10]), np.diag([1.0, 0.0]))
+        assert infinite.kernel_violation and infinite.value == float("inf")
 
     def test_nonnegative_many_pairs(self):
         for trial in range(1000):
@@ -115,6 +120,11 @@ class TestLogDerivativeForm:
         touching = np.zeros((3, 3))
         touching[0, 2] = touching[2, 0] = 0.3  # couples to the kernel
         assert log_derivative_form(tau, touching) == float("inf")
+        # an off-kernel element of 5e-11 is within KERNEL_MASS_TOL, 5e-10 is not
+        touching[0, 2] = touching[2, 0] = 5e-11
+        assert np.isfinite(log_derivative_form(tau, touching))
+        touching[0, 2] = touching[2, 0] = 5e-10
+        assert log_derivative_form(tau, touching) == float("inf")
 
     def test_monotone_in_base(self):
         # growing the base operator can only shrink the form
@@ -162,6 +172,12 @@ class TestLowerBoundFactor:
 
 
 class TestSandwich:
+    def test_dominance_needs_full_rank_reference(self):
+        # a minimum eigenvalue within INPUT_TOL of zero is singular
+        with pytest.raises(ValueError, match="full rank"):
+            dominance_constant(np.eye(2) / 2, np.diag([1.0 - 5e-9, 5e-9]))
+        assert dominance_constant(np.eye(2) / 2, np.diag([1.0 - 5e-8, 5e-8])) >= 1.0
+
     def test_upper_bound(self):
         for trial in range(200):
             d = 2 + trial % 3

@@ -168,6 +168,11 @@ class TestSchmidt:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             schmidt_decompose(np.ones(4), (2, 2))
+        # norm deviation 5e-11 is within VALIDATION_TOL, 5e-10 is not
+        v = np.array([1.0, 0.0, 0.0, 0.0])
+        schmidt_decompose(v * (1.0 + 5e-11), (2, 2))
+        with pytest.raises(ValueError):
+            schmidt_decompose(v * (1.0 + 5e-10), (2, 2))
 
 
 class TestIsPsd:

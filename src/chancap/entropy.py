@@ -15,6 +15,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .linalg import (
     INPUT_TOL,
+    Eigensystem,
     clamped_eigenvalues,
     floored_log,
     hermitian_eig,
@@ -50,14 +51,24 @@ def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
     tau = np.asarray(tau, dtype=complex)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
-    mu, h = hermitian_eig(tau, atol=INPUT_TOL)
+    ref = hermitian_eig(tau, atol=INPUT_TOL)
+    value = float(_relative_entropies(rho[None], trace_xlogx(rho)[None], ref)[0])
+    return RelEntropyResult(value, value == float("inf"))
+
+
+def _relative_entropies(rhos: np.ndarray, xlogx: np.ndarray, ref: Eigensystem) -> np.ndarray:
+    """``relative_entropy`` values of a stack of states against one reference.
+
+    ``xlogx`` holds tr(rho ln rho) of each member and ``ref`` the eigensystem
+    of the reference; a member with kernel mass beyond ``KERNEL_MASS_TOL``
+    gets an infinite value, the others are unaffected.
+    """
+    mu, h = ref
     support = mu > KERNEL_THRESHOLD
-    diag = np.einsum("ki,ij,jk->k", h.conj().T, rho, h).real
-    kernel_mass = float(np.sum(diag[~support]))
-    if kernel_mass > KERNEL_MASS_TOL:
-        return RelEntropyResult(float("inf"), True)
-    value = float(trace_xlogx(rho) - np.sum(diag[support] * floored_log(mu[support])))
-    return RelEntropyResult(value, False)
+    diag = np.einsum("ki,nij,jk->nk", h.conj().T, rhos, h).real
+    values = xlogx - np.sum(diag[:, support] * floored_log(mu[support]), axis=-1)
+    values[np.sum(diag[:, ~support], axis=-1) > KERNEL_MASS_TOL] = np.inf
+    return values
 
 
 def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
@@ -73,18 +84,27 @@ def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
     eta = np.asarray(eta, dtype=complex)
     if tau.shape != eta.shape:
         raise ValueError(f"shape mismatch {tau.shape} vs {eta.shape}")
-    mu, h = hermitian_eig(tau, atol=INPUT_TOL)
-    m = h.conj().T @ eta @ h
-    a = np.abs(m) ** 2
+    return float(_log_derivative_forms(eta[None], hermitian_eig(tau, atol=INPUT_TOL))[0])
+
+
+def _log_derivative_forms(etas: np.ndarray, ref: Eigensystem) -> np.ndarray:
+    """``log_derivative_form`` values of a stack of directions at one reference.
+
+    ``ref`` is the eigensystem of the reference; a member with a matrix
+    element beyond ``KERNEL_MASS_TOL`` on a pair touching its kernel gets an
+    infinite value, the others are unaffected.
+    """
+    mu, h = ref
+    m = h.conj().T @ etas @ h
     support = mu > KERNEL_THRESHOLD
+    leaks = np.zeros(len(m), dtype=bool)
     if not np.all(support):
         touching = ~(support[:, None] & support[None, :])
-        if np.any(np.abs(m[touching]) > KERNEL_MASS_TOL):
-            return float("inf")
-    mu_s = mu[support]
-    if mu_s.size == 0:
-        return 0.0
-    return float(np.sum(a[np.ix_(support, support)] * log_divided_differences(mu_s)))
+        leaks = np.any(np.abs(m[:, touching]) > KERNEL_MASS_TOL, axis=-1)
+        m, mu = m[:, support][:, :, support], mu[support]
+    values = np.sum(np.abs(m) ** 2 * log_divided_differences(mu), axis=(-2, -1))
+    values[leaks] = np.inf
+    return values
 
 
 def lower_bound_factor(k: float) -> float:

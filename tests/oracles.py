@@ -3,15 +3,29 @@
 Each oracle computes a quantity by a route other than the library's: the
 relative entropy and the log-derivative form by quadrature, the channel
 mutual information through a purification of the input, and the barycenter
-(Donald) identity as a residual of relative entropies.
+(Donald) identity as a residual of relative entropies. The per-member loops
+are the references for the library's stacked evaluations: one single-pair
+call per member, and the bound chain summed member by member.
 """
 
 import numpy as np
 from scipy import integrate
 
+from chancap.capacity import SUP_RESTARTS, max_output_divergence
+from chancap.certify import (
+    barycenter_dominance,
+    family_total_weight,
+    output_barycenter,
+    superposition_family,
+)
 from chancap.channels import QuantumChannel
-from chancap.entropy import log_derivative_form, relative_entropy
-from chancap.linalg import INPUT_TOL, hermitian_eig
+from chancap.entropy import (
+    log_derivative_form,
+    lower_bound_factor,
+    mutual_information,
+    relative_entropy,
+)
+from chancap.linalg import INPUT_TOL, hermitian_eig, partial_trace, schmidt_decompose
 
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-10
@@ -95,3 +109,53 @@ def donald_residual(weights, states, sigma: np.ndarray) -> float:
     rhs = sum(pi * relative_entropy(s, avg).value for pi, s in zip(p, states))
     rhs += relative_entropy(avg, sigma).value
     return float(abs(lhs - rhs))
+
+
+def relative_entropies_by_loop(rhos, tau: np.ndarray) -> np.ndarray:
+    """``relative_entropy(rho, tau)`` for each member of a stack, one call each."""
+    return np.array([relative_entropy(rho, tau).value for rho in rhos])
+
+
+def log_derivative_forms_by_loop(tau: np.ndarray, etas) -> np.ndarray:
+    """``log_derivative_form(tau, eta)`` for each member of a stack, one call each."""
+    return np.array([log_derivative_form(tau, eta) for eta in etas])
+
+
+def chain_by_loop(channel: QuantumChannel, v: np.ndarray, tau=None, sup_seed=0) -> tuple:
+    """The six values of the bound chain on a pure input vector, each family
+    link summed member by member with single-pair calls on ``channel.apply``
+    outputs; the supremum comes from the same seeded ascent."""
+    d = channel.d_in
+    sd = schmidt_decompose(v, (d, d))
+    alpha2 = np.pad(sd.coefficients**2, (0, d - sd.coefficients.size))
+    basis = sd.basis_right
+    sigma = output_barycenter(channel, sd)
+
+    def out(vec):
+        return channel.apply(np.outer(vec, vec.conj()))
+
+    rho = np.outer(v, v.conj())
+    joint = channel.apply_extended(rho)
+    reference = np.kron(partial_trace(rho, 0, (d, d)), sigma)
+    mutual = mutual_information(channel, partial_trace(rho, 1, (d, d)))
+    anchored = relative_entropy(joint, reference).value
+    quadratic = log_derivative_form(reference, joint - reference)
+
+    decomposed = entropy_sum = 0.0
+    members = [out(basis[:, k]) for k in range(d)]
+    for k in range(d):
+        decomposed += alpha2[k] * log_derivative_form(sigma, members[k] - sigma)
+        entropy_sum += alpha2[k] * relative_entropy(members[k], sigma).value
+    for (k, l, _), vec in superposition_family(basis):
+        members.append(out(vec))
+        decomposed += 0.5 * max(alpha2[k], alpha2[l]) * log_derivative_form(
+            sigma, members[-1] - sigma
+        )
+        entropy_sum += 0.5 * (alpha2[k] + alpha2[l]) * relative_entropy(members[-1], sigma).value
+    g = lower_bound_factor(barycenter_dominance(d))
+
+    tau = sigma if tau is None else tau
+    sup_value, _ = max_output_divergence(channel, tau, restarts=SUP_RESTARTS, seed=sup_seed)
+    at_tau = [relative_entropy(m, tau).value for m in members]
+    capacity_bound = family_total_weight(d) / g * max([sup_value] + at_tau)
+    return (mutual, anchored, quadratic, decomposed, entropy_sum / g, capacity_bound)

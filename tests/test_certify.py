@@ -25,6 +25,7 @@ from chancap import (
 )
 from chancap.certify import superposition_state
 from chancap.linalg import check_density_matrix, partial_trace
+from oracles import chain_by_loop
 
 
 def bell_vector(d=2):
@@ -172,12 +173,31 @@ class TestChainReport:
         v = bell_vector()
         report = chain_report(identity_channel(2), np.outer(v, v.conj()))
         assert report.monotone_ok
-        # asymmetric by 1e-11, or with trace 1 + 5e-9: within the input tolerance
+        # asymmetric by 1e-11, or with trace 1 + 5e-9 or 1 + 8e-9: within the
+        # input tolerance, as the vector scaled by 1 + 8e-9 is
         skewed = np.zeros((4, 4))
         skewed[0, 0] = skewed[0, 3] = skewed[3, 3] = 0.5
         skewed[3, 0] = 0.50000000001
-        for state in (skewed, (1.0 + 5e-9) * np.outer(v, v.conj())):
+        for state in (skewed, *((1.0 + e) * np.outer(v, v.conj()) for e in (5e-9, 8e-9))):
             assert chain_report(identity_channel(2), state).monotone_ok
+        assert chain_report(identity_channel(2), (1.0 + 8e-9) * v).monotone_ok
+
+    def test_matches_loop_form_chain(self):
+        # the stacked links equal the chain summed member by member, with the
+        # default reference and a given one, on random and product inputs
+        product = np.zeros(4, dtype=complex)
+        product[1] = 1.0  # Schmidt coefficients (1, 0): the basis completion is arbitrary
+        cases = [(random_channel(2, 2, seed=13), product, None)]
+        for trial in range(8):
+            d = 2 + trial % 2
+            tau = None if trial < 4 else random_density_matrix(d, d, (18, trial))
+            chan = random_channel(d, d, seed=(18, trial))
+            cases.append((chan, random_pure_state(d * d, (19, trial)), tau))
+        for chan, v, tau in cases:
+            report = chain_report(chan, v, tau=tau, sup_seed=7)
+            np.testing.assert_allclose(
+                report.chain(), chain_by_loop(chan, v, tau=tau, sup_seed=7), rtol=1e-12, atol=0
+            )
 
     def test_rejects_mixed_state(self):
         # trace 1 but mixed; trace 2; and a negative operator of purity one

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancap import (
     depolarizing_channel,
@@ -16,12 +18,15 @@ from chancap import (
     relative_entropy,
     von_neumann_entropy,
 )
-from chancap.linalg import partial_trace
+from chancap.entropy import _log_derivative_forms, _relative_entropies
+from chancap.linalg import hermitian_eig, partial_trace, seeded_rng, trace_xlogx
 from oracles import (
     donald_residual,
     log_derivative_form_via_quadrature,
+    log_derivative_forms_by_loop,
     mutual_information_via_purification,
     purify,
+    relative_entropies_by_loop,
     relative_entropy_via_integral,
 )
 
@@ -135,6 +140,70 @@ class TestLogDerivativeForm:
             psi = phi + 0.7 * bump
             eta = random_density_matrix(d, d, (16, trial)) - np.eye(d) / d
             assert log_derivative_form(phi, eta) >= log_derivative_form(psi, eta) - 1e-9
+
+
+def reference_and_members(d, rank, seed, scale=1.0):
+    """A positive operator of the given rank and trace ``scale``, and a stack of
+    states: two inside its support (when it has one), one generic state of
+    each rank, and the zero matrix."""
+    g = seeded_rng(seed)
+    u = np.linalg.qr(g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)))[0]
+    w = np.zeros(d)
+    w[:rank] = g.uniform(0.1, 1.0, rank)
+    if rank:
+        w *= scale / w.sum()
+    tau = (u * w) @ u.conj().T
+    inside = [
+        u[:, :rank] @ random_density_matrix(rank, rank, (seed, i)) @ u[:, :rank].conj().T
+        for i in range(2 if rank else 0)
+    ]
+    generic = [random_density_matrix(d, r, (seed, d + r)) for r in range(1, d + 1)]
+    return tau, np.array(inside + generic + [np.zeros((d, d))])
+
+
+def assert_stacked_forms_match_loop(tau, rhos):
+    ref = hermitian_eig(tau)
+    np.testing.assert_allclose(
+        _relative_entropies(rhos, trace_xlogx(rhos), ref),
+        relative_entropies_by_loop(rhos, tau),
+        rtol=1e-12, atol=0,
+    )
+    etas = rhos - tau
+    np.testing.assert_allclose(
+        _log_derivative_forms(etas, ref), log_derivative_forms_by_loop(tau, etas),
+        rtol=1e-12, atol=0,
+    )
+
+
+class TestStackedForms:
+    """Stacked evaluations against one reference equal the loop of single-pair calls."""
+
+    def test_full_rank_deficient_and_empty_references(self):
+        for d in range(2, 6):
+            for rank in (d, d - 1, 0):
+                tau, rhos = reference_and_members(d, rank, 100 * d + rank)
+                assert_stacked_forms_match_loop(tau, rhos)
+                divs = _relative_entropies(rhos, trace_xlogx(rhos), hermitian_eig(tau))
+                forms = _log_derivative_forms(rhos - tau, hermitian_eig(tau))
+                # the zero member is finite, and so is every member on a full support
+                assert np.isfinite(divs[-1]) and np.isfinite(forms[-1])
+                if rank == d:
+                    assert np.all(np.isfinite(divs)) and np.all(np.isfinite(forms))
+                else:  # the generic full-rank member leaks onto the kernel
+                    assert np.isinf(divs[-2]) and np.isinf(forms[-2])
+                if 0 < rank < d:
+                    assert np.all(np.isfinite(divs[:2])) and np.all(np.isfinite(forms[:2]))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        rank=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 10.0),
+    )
+    def test_property_matches_loop(self, d, rank, seed, scale):
+        tau, rhos = reference_and_members(d, min(rank, d), seed, scale)
+        assert_stacked_forms_match_loop(tau, rhos)
 
 
 class TestLowerBoundFactor:

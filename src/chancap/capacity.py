@@ -56,6 +56,7 @@ GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance 
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
 WEIGHT_TOL_CAP = 1e-11  # cap on the weight solve's gap tolerance 0.02 tol
 MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
+POSITION_SWEEPS = 3  # witness-position ascent sweeps per outer iteration of the Holevo solver
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope,
 MIN_POSITION_STEP = 1e-10  # or when their line search fails below this step
 DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
@@ -138,12 +139,11 @@ def _assisted_point(channel: QuantumChannel, h: np.ndarray) -> _AssistedPoint:
     return _AssistedPoint(rho, value, (Eigensystem(e, v), out, env), float(w[-1]))
 
 
-def _assisted_gradient(channel: QuantumChannel, point: _AssistedPoint) -> np.ndarray:
-    """The mutual information gradient at the point; from its eigensystems
-    unless rho is rank-deficient, where the public function mixes it first."""
-    if point.eigensystems[0].values[0] < KERNEL_THRESHOLD:
-        return mutual_information_gradient(channel, point.rho)
-    return _gradient_from_logs(channel, *map(eigensystem_log, point.eigensystems))
+def _gradient_and_gap(channel: QuantumChannel, point: _AssistedPoint):
+    """The mutual information gradient at the point, from its eigensystems, and
+    the optimality gap lambda_max(grad) - tr(rho grad) it certifies."""
+    grad = _gradient_from_logs(channel, *map(eigensystem_log, point.eigensystems))
+    return grad, float(np.linalg.eigvalsh(grad)[-1] - np.trace(point.rho @ grad).real)
 
 
 def entanglement_assisted_capacity(
@@ -167,8 +167,7 @@ def entanglement_assisted_capacity(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        grad = _assisted_gradient(channel, point)
-        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(point.rho @ grad).real)
+        grad, gap = _gradient_and_gap(channel, point)
         if gap <= tol:
             converged = True
             break
@@ -187,8 +186,7 @@ def entanglement_assisted_capacity(
         if not accepted:
             break  # stalled below the step floor; gap reported honestly
     else:  # out of iterations: the gap at the last accepted point
-        grad = _assisted_gradient(channel, point)
-        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(point.rho @ grad).real)
+        gap = _gradient_and_gap(channel, point)[1]
         converged = gap <= tol
     return CapacityEstimate(
         value_nats=max(0.0, point.value),
@@ -455,14 +453,13 @@ def _improve_positions(
     chi: float,
     anchor: np.ndarray,
     ba_tol: float,
-    sweeps: int = 3,
 ):
     """Move witness states along divergence-ascent tangents, line-searched on
     the ensemble mixture divergence so the lower bound never decreases. The
     outputs ``outs`` of the witnesses are returned updated with them."""
     if len(witnesses) < 2:
         return witnesses, outs, weights, chi
-    for _ in range(sweeps):
+    for _ in range(POSITION_SWEEPS):
         ln_avg = log_matrix(_barycenter(outs, weights, anchor))
         _, grads = _divergences_and_grads(channel, ln_avg, witnesses)
         tangent = _tangent(witnesses, grads)

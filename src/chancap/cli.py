@@ -1,5 +1,7 @@
 """Command-line front end: channel I/O, capacity computation, bound fuzzing,
-chain replay, and the depolarizing sweep with CSV/SVG emission.
+chain replay, and the depolarizing sweep with CSV/SVG emission. argparse is
+the only configuration: it checks each numeric flag as it parses it, and the
+commands read the parsed namespace directly.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 3 inconclusive verification.
@@ -8,11 +10,12 @@ Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,63 +27,21 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INCONCLUSIVE = 3
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    trials: int
-    d_in: int
-    d_out: int
-    tol: float
-    max_iter: int
-    restarts: int
-    jobs: int
-    output_format: str
-    output_path: str | None
-
-    def validate(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.d_in < 1 or self.d_out < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.max_iter < 1 or self.restarts < 1 or self.jobs < 1:
-            raise ValueError("max-iter, restarts, and jobs must be >= 1")
-
-
 def fmt(x: float) -> str:
     """Locale-independent numeric formatting at 6 significant digits."""
     return f"{x:.6g}"
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        seed=args.seed,
-        trials=getattr(args, "trials", 1),
-        d_in=getattr(args, "din", 2),
-        d_out=getattr(args, "dout", 2),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        restarts=args.restarts,
-        jobs=(os.cpu_count() or 1) if args.jobs is None else args.jobs,
-        output_format=getattr(args, "format", "csv"),
-        output_path=getattr(args, "out", None),
-    )
-    cfg.validate()
-    return cfg
-
-
 def _load_channel(args) -> channels.QuantumChannel:
-    named = getattr(args, "named", None)
-    path = getattr(args, "channel_file", None)
-    if named and path:
+    if args.named and args.channel_file:
         raise ValueError("give either a channel file or --named, not both")
-    if named:
-        return _named_channel(named)
-    if not path:
+    if args.named:
+        return _named_channel(args.named)
+    if not args.channel_file:
         raise ValueError("a channel file or --named specification is required")
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(args.channel_file, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read channel file: {exc}") from exc
     try:
@@ -127,11 +88,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_capacity(args) -> int:
-    cfg = _config_from_args(args)
     chan = _load_channel(args)
-    ce = capacity.entanglement_assisted_capacity(chan, tol=cfg.tol, max_iter=cfg.max_iter)
+    ce = capacity.entanglement_assisted_capacity(chan, tol=args.tol, max_iter=args.max_iter)
     ch = capacity.holevo_quantity(
-        chan, tol=cfg.tol, restarts=cfg.restarts, max_iter=cfg.max_iter, seed=cfg.seed
+        chan, tol=args.tol, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
     )
     ratio = capacity.capacity_ratio(ce.value_bits, ch.value_bits)
     record = {
@@ -145,45 +105,39 @@ def cmd_capacity(args) -> int:
         "ce_converged": ce.converged,
         "ch_converged": ch.converged,
     }
-    if cfg.output_format == "json":
-        _emit(json.dumps(record, indent=2) + "\n", cfg.output_path)
+    if args.format == "json":
+        _emit(json.dumps(record, indent=2) + "\n", args.out)
     else:
         header = ",".join(record)
         row = ",".join(
             fmt(v) if isinstance(v, float) else str(v) for v in record.values()
         )
-        _emit(header + "\n" + row + "\n", cfg.output_path)
+        _emit(header + "\n" + row + "\n", args.out)
     return EXIT_OK if ce.converged and ch.converged else EXIT_NOT_CONVERGED
 
 
-def _ratio_trial(payload):
-    seed, index, d_in, d_out, tol, restarts, max_iter = payload
-    chan = channels.random_channel(d_in, d_out, seed=(seed, index))
-    check = certify.verify_ratio_bound(
-        chan, tol=tol, restarts=restarts, max_iter=max_iter, seed=(seed, index, 1)
+def _ratio_trial(args, index: int):
+    chan = channels.random_channel(args.din, args.dout, seed=(args.seed, index))
+    return certify.verify_ratio_bound(
+        chan, tol=args.tol, restarts=args.restarts, max_iter=args.max_iter,
+        seed=(args.seed, index, 1),
     )
-    return check
 
 
 def cmd_verify_ratio(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.d_in == 1:
+    if args.din == 1:
         _emit(
             "trial,ce_bits,ch_bits,ratio,prefactor,slack_bits,converged\n"
             + "\n".join(
-                f"{i},0,0,undefined,undefined,0,True" for i in range(cfg.trials)
+                f"{i},0,0,undefined,undefined,0,True" for i in range(args.trials)
             )
             + "\nmin_slack_bits,0\nnote,input dimension 1: both capacities vanish;"
             " the bound holds trivially\n",
-            cfg.output_path,
+            args.out,
         )
         return EXIT_OK
-    payloads = [
-        (cfg.seed, i, cfg.d_in, cfg.d_out, cfg.tol, cfg.restarts, cfg.max_iter)
-        for i in range(cfg.trials)
-    ]
-    results = _run_trials(_ratio_trial, payloads, cfg.jobs)
-    tol_bits = cfg.tol / capacity.LN2
+    results = _run_trials(_ratio_trial, args, range(args.trials))
+    tol_bits = args.tol / capacity.LN2
     lines = ["trial,ce_bits,ch_bits,ratio,prefactor,slack_bits,converged"]
     inconclusive = 0
     for i, r in enumerate(results):
@@ -198,17 +152,15 @@ def cmd_verify_ratio(args) -> int:
     min_slack = min(r.slack_bits for r in results)
     lines.append(f"min_slack_bits,{fmt(min_slack)}")
     lines.append(f"non_converged_trials,{inconclusive}")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     if inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OK if min_slack >= -2.0 * tol_bits else EXIT_INCONCLUSIVE
 
 
-def _sandwich_trial(payload):
-    seed, index, dim = payload
-    rank = 1 + index % dim
-    rho = linalg.random_density_matrix(dim, rank, (seed, index, 0))
-    tau = linalg.random_density_matrix(dim, dim, (seed, index, 1))
+def _sandwich_trial(args, index: int):
+    rho = linalg.random_density_matrix(args.din, 1 + index % args.din, (args.seed, index, 0))
+    tau = linalg.random_density_matrix(args.din, args.din, (args.seed, index, 1))
     div = entropy.relative_entropy(rho, tau).value
     form = entropy.log_derivative_form(tau, rho - tau)
     k = entropy.dominance_constant(rho, tau)
@@ -217,16 +169,14 @@ def _sandwich_trial(payload):
 
 
 def cmd_verify_sandwich(args) -> int:
-    cfg = _config_from_args(args)
-    payloads = [(cfg.seed, i, cfg.d_in) for i in range(cfg.trials)]
-    results = _run_trials(_sandwich_trial, payloads, cfg.jobs)
+    results = _run_trials(_sandwich_trial, args, range(args.trials))
     upper_violation = max(r[0] for r in results)
     lower_violation = max(r[1] for r in results)
     _emit(
         "check,max_violation_nats\n"
         f"upper_bound,{fmt(upper_violation)}\n"
         f"lower_bound,{fmt(lower_violation)}\n",
-        cfg.output_path,
+        args.out,
     )
     ok = upper_violation <= 1e-9 and lower_violation <= 1e-9
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
@@ -248,11 +198,10 @@ def _parse_state(spec: str, d: int) -> np.ndarray:
 
 
 def cmd_chain(args) -> int:
-    cfg = _config_from_args(args)
     chan = _load_channel(args)
     state = _parse_state(args.state, chan.d_in)
     report = certify.chain_report(
-        chan, state, tol=cfg.tol, sup_restarts=cfg.restarts, sup_seed=cfg.seed
+        chan, state, tol=args.tol, sup_restarts=args.restarts, sup_seed=args.seed
     )
     names = [
         "mutual_info",
@@ -272,36 +221,27 @@ def cmd_chain(args) -> int:
         "support_margins," + " ".join(fmt(m) for m in report.support_margins) + ","
     )
     lines.append(f"monotone_ok,{report.monotone_ok},")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if report.monotone_ok else EXIT_INCONCLUSIVE
 
 
-def _sweep_rows(cfg: RunConfig, points: int):
-    payloads = [
-        (cfg.seed, p, cfg.tol, cfg.restarts, cfg.max_iter)
-        for p in capacity.depolarizing_grid(2, points)
-    ]
-    return _run_trials(_sweep_point, payloads, cfg.jobs)
-
-
-def _sweep_point(payload):
-    seed, p, tol, restarts, max_iter = payload
+def _sweep_point(args, p: float):
     rows = capacity.depolarizing_capacity_sweep(
-        2, [p], tol=min(tol, capacity.SWEEP_TOL), restarts=restarts, max_iter=max_iter, seed=seed
+        2, [p], tol=min(args.tol, capacity.SWEEP_TOL), restarts=args.restarts,
+        max_iter=args.max_iter, seed=args.seed,
     )
     return rows[0]
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
     if args.points < 2:
         raise ValueError("points must be >= 2")
-    rows = _sweep_rows(cfg, args.points)
+    rows = _run_trials(_sweep_point, args, capacity.depolarizing_grid(2, args.points))
     lines = ["p,ce_bits,ch_bits,ratio"]
     for r in rows:
         ratio = fmt(r.ratio) if r.ratio is not None else "undefined"
         lines.append(f"{fmt(r.p)},{fmt(r.ce_bits)},{fmt(r.ch_bits)},{ratio}")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
         _emit(_sweep_svg(rows), args.svg)
     return EXIT_OK
@@ -350,11 +290,27 @@ def _sweep_svg(rows) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _run_trials(fn, payloads, jobs: int):
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
+def _run_trials(fn, args, items):
+    """``fn(args, item)`` for each item, over ``--jobs`` processes (all cores if unset)."""
+    jobs = args.jobs or os.cpu_count() or 1
+    work = functools.partial(fn, args)
+    if jobs <= 1 or len(items) <= 1:
+        return [work(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(work, items, chunksize=max(1, len(items) // (4 * jobs))))
+
+
+def _positive(convert):
+    """argparse type: ``convert`` the text, then require a finite value > 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 < value < math.inf:  # also false for nan
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <name> value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,17 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, trials=False, dims=False, channel=False):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument(
-            "--tol", type=float, default=capacity.DEFAULT_TOL, help="solver tolerance in nats"
+            "--tol", type=_positive(float), default=capacity.DEFAULT_TOL,
+            help="solver tolerance in nats",
         )
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=capacity.DEFAULT_MAX_ITER)
-        p.add_argument("--restarts", type=int, default=capacity.DEFAULT_RESTARTS)
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+        p.add_argument(
+            "--max-iter", dest="max_iter", type=_positive(int), default=capacity.DEFAULT_MAX_ITER
+        )
+        p.add_argument("--restarts", type=_positive(int), default=capacity.DEFAULT_RESTARTS)
+        p.add_argument(
+            "--jobs", type=_positive(int), default=None, help="worker processes (default: all cores)"
+        )
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if trials:
-            p.add_argument("--trials", type=int, default=100)
+            p.add_argument("--trials", type=_positive(int), default=100)
         if dims:
-            p.add_argument("--din", type=int, default=2)
-            p.add_argument("--dout", type=int, default=2)
+            p.add_argument("--din", type=_positive(int), default=2)
+            p.add_argument("--dout", type=_positive(int), default=2)
         if channel:
             p.add_argument("channel_file", nargs="?", default=None)
             p.add_argument(

@@ -213,13 +213,23 @@ class TestConfigValidation:
         )
 
     def test_nonpositive_tolerance(self):
-        res = run_cli("verify-ratio", "--tol", "0", "--trials", "1")
-        assert res.returncode == 1
-        assert "tol" in res.stderr
+        for argv in (("verify-ratio", "--trials", "1"), ("capacity", "--named", "identity:d=2")):
+            for tol in ("0", "inf", "nan"):
+                res = run_cli(*argv, "--tol", tol)
+                assert res.returncode == 1
+                assert "tol" in res.stderr
+                assert "argument --tol" in res.stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--named", "identity:d=2", "--tol", "inf"])
+        assert exc.value.code == 1
 
     def test_zero_trials(self):
         res = run_cli("verify-sandwich", "--trials", "0")
         assert res.returncode == 1
+        for flag in ("--din", "--dout", "--max-iter", "--restarts", "--trials", "--jobs"):
+            res = run_cli("verify-ratio", flag, "0")
+            assert res.returncode == 1
+            assert f"argument {flag}" in res.stderr
 
     def test_unknown_named_channel(self):
         res = run_cli("capacity", "--named", "amplitude:d=2")

@@ -48,7 +48,8 @@ ANCHOR_MIX = 1e-12  # weight of the anchor state mixed in so that a logarithm is
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
 ARMIJO = 1e-4  # sufficient-increase constant of every line search
 STEP_FLOOR = 1e-8  # smallest step of the mirror ascent
-BB_STEP_RANGE = (1e-3, 1e3)  # clip of the sphere ascent's Barzilai-Borwein steps
+MIN_BB_STEP = 1e-3  # sphere-ascent Barzilai-Borwein steps are raised to at least this
+MAX_MOVE = 1e3  # bound on a sphere-ascent move, step * |tangent|: flat objectives step long
 MAX_HALVINGS = 25  # halvings per sphere-ascent line search
 MIN_RETRY_STEP = 1e-14  # a failed row retries from at least this step; below, float precision
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
@@ -236,9 +237,13 @@ def _sphere_ascent(
 
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
     step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
-    clipped to BB_STEP_RANGE; where Re<s,y> <= 0, as before a row first moves,
-    it starts from its own doubled last step instead. A round evaluates value
-    and gradient at the trial point of every active row from one batched
+    raised to MIN_BB_STEP; where Re<s,y> <= 0, as before a row first moves,
+    it starts from its own doubled last step instead. Either start is cut so
+    that the move, step * |tangent|, is at most MAX_MOVE. Bounding the move
+    rather than the step does not depend on the objective's scale: on a flat
+    one (curvature ~1e-6 at a depolarizing weight p = 0.999) a row takes the
+    long step Barzilai-Borwein asks for instead of crawling. A round evaluates
+    value and gradient at the trial point of every active row from one batched
     eigendecomposition: an accepted row moves and holds the gradient for its
     next step, a rejected row halves its step for the next round. Rows retire
     once their tangent gradient is below ``grad_tol``, after MAX_SEARCHES
@@ -266,7 +271,8 @@ def _sphere_ascent(
         sy = np.einsum("ri,ri->r", s.conj(), y).real
         use_bb = sy > 0.0
         bb = sy / np.where(use_bb, np.linalg.norm(y, axis=1) ** 2, 1.0)
-        alpha[rows] = np.where(use_bb, np.clip(bb, *BB_STEP_RANGE), steps[rows])
+        start = np.where(use_bb, np.maximum(bb, MIN_BB_STEP), steps[rows])
+        alpha[rows] = np.minimum(start, MAX_MOVE / norms[rows])
         prev_psi[rows] = psi[rows]
         prev_tangent[rows] = tangent[rows]
         halvings[rows] = 0
@@ -290,7 +296,7 @@ def _sphere_ascent(
         halvings[rejected] += 1
         failed = rejected[halvings[rejected] == MAX_HALVINGS]
         ended = np.concatenate([moved, failed])
-        steps[ended] = np.minimum(alpha[ended] * 2.0, BB_STEP_RANGE[1])
+        steps[ended] = alpha[ended] * 2.0
         active[ended] = False
         retry = failed[alpha[failed] >= MIN_RETRY_STEP]
         start_searches(np.concatenate([moved, retry]))

@@ -234,8 +234,6 @@ def _sweep_point(args, p: float):
 
 
 def cmd_sweep(args) -> int:
-    if args.points < 2:
-        raise ValueError("points must be >= 2")
     rows = _run_trials(_sweep_point, args, capacity.depolarizing_grid(2, args.points))
     lines = ["p,ce_bits,ch_bits,ratio"]
     for r in rows:
@@ -300,17 +298,25 @@ def _run_trials(fn, args, items):
         return list(pool.map(work, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
-def _positive(convert):
-    """argparse type: ``convert`` the text, then require a finite value > 0."""
+def _checked(convert, accept, requirement: str):
+    """argparse type: ``convert`` the text, then require ``accept(value)``."""
 
     def parse(text: str):
         value = convert(text)
-        if not 0 < value < math.inf:  # also false for nan
-            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid <name> value"
     return parse
+
+
+def _int_from(low: int):
+    """argparse type: an integer from ``low`` to sys.maxsize, the largest length of a range."""
+    return _checked(int, lambda n: low <= n <= sys.maxsize, f"from {low} to {sys.maxsize}")
+
+
+_positive_float = _checked(float, lambda x: 0 < x < math.inf, "finite and positive")  # nan fails
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,7 +327,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="chancap",
         description="Quantum channel capacities and certified ratio bounds.",
@@ -329,24 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials=False, dims=False, channel=False):
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=_int_from(0), default=0, help="master seed")
         p.add_argument(
-            "--tol", type=_positive(float), default=capacity.DEFAULT_TOL,
+            "--tol", type=_positive_float, default=capacity.DEFAULT_TOL,
             help="solver tolerance in nats",
         )
         p.add_argument(
-            "--max-iter", dest="max_iter", type=_positive(int), default=capacity.DEFAULT_MAX_ITER
+            "--max-iter", dest="max_iter", type=_int_from(1), default=capacity.DEFAULT_MAX_ITER
         )
-        p.add_argument("--restarts", type=_positive(int), default=capacity.DEFAULT_RESTARTS)
+        p.add_argument("--restarts", type=_int_from(1), default=capacity.DEFAULT_RESTARTS)
         p.add_argument(
-            "--jobs", type=_positive(int), default=None, help="worker processes (default: all cores)"
+            "--jobs", type=_int_from(1), default=None, help="worker processes (default: all cores)"
         )
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if trials:
-            p.add_argument("--trials", type=_positive(int), default=100)
+            p.add_argument("--trials", type=_int_from(1), default=100)
         if dims:
-            p.add_argument("--din", type=_positive(int), default=2)
-            p.add_argument("--dout", type=_positive(int), default=2)
+            p.add_argument("--din", type=_int_from(1), default=2)
+            p.add_argument("--dout", type=_int_from(1), default=2)
         if channel:
             p.add_argument("channel_file", nargs="?", default=None)
             p.add_argument(
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="capacities of the qubit depolarizing family over a p grid"
     )
     common(p_sweep)
-    p_sweep.add_argument("--points", type=int, default=81)
+    p_sweep.add_argument("--points", type=_int_from(2), default=81)
     p_sweep.add_argument("--svg", default=None, help="also write an SVG plot here")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -26,6 +26,7 @@ from chancap.capacity import (
     _ensemble_weights,
     _mixture_divergences,
     _sphere_ascent,
+    _tangent,
 )
 from chancap.channels import pure_outputs as _batch_outputs
 from chancap.entropy import mutual_information as _mutual_information_nats
@@ -187,6 +188,25 @@ class TestInnerSolvers:
             q = p / 2.0
             expected = math.log(2.0) + q * math.log(q) + (1.0 - q) * math.log(1.0 - q)
             assert abs(value - expected) <= 1e-9
+        # against sigma = T(|0><0|) the output spectrum is again fixed, so the
+        # supremum is at the inputs orthogonal to |0>: (1-p) ln((d-(d-1)p)/p).
+        # Near p = 1 the objective's curvature is ~(1-p)^2, so the ascent must
+        # take long steps to get there
+        for d, p in ((3, 0.999), (2, 0.99)):
+            chan = depolarizing_channel(d, p)
+            ground = np.diag([1.0] + [0.0] * (d - 1)).astype(complex)
+            value, _ = max_output_divergence(chan, chan.apply(ground))
+            expected = (1.0 - p) * math.log((d - (d - 1) * p) / p)
+            assert abs(value - expected) <= 1e-3 * expected
+        # on such a flat objective every row ends stationary, none out of searches
+        chan = depolarizing_channel(2, 0.999)
+        ln_sigma = _log_matrix(chan.apply(np.diag([1.0, 0.0]).astype(complex)))
+        g = seeded_rng(0)
+        starts = g.standard_normal((8, 2)) + 1j * g.standard_normal((8, 2))
+        grad_tol = math.sqrt(1e-10) / 30.0
+        _, psi = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
+        _, grads = _divergences_and_grads(chan, ln_sigma, psi)
+        assert np.linalg.norm(_tangent(psi, grads), axis=1).max() <= grad_tol
 
     def test_sphere_ascent_never_lowers_a_row(self):
         for trial in range(6):

@@ -199,6 +199,7 @@ class TestSweepCommand:
 class TestConfigValidation:
     def test_defaults_come_from_capacity(self):
         parser = build_parser()
+        assert build_parser() is parser  # built once per process
         for command in ("capacity", "verify-ratio", "verify-sandwich", "chain", "sweep"):
             args = parser.parse_args([command])
             assert args.tol == capacity.DEFAULT_TOL
@@ -212,7 +213,7 @@ class TestConfigValidation:
             capacity.DEFAULT_TOL
         )
 
-    def test_nonpositive_tolerance(self):
+    def test_nonpositive_tolerance(self, capsys):
         for argv in (("verify-ratio", "--trials", "1"), ("capacity", "--named", "identity:d=2")):
             for tol in ("0", "inf", "nan"):
                 res = run_cli(*argv, "--tol", tol)
@@ -222,6 +223,13 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as exc:
             main(["capacity", "--named", "identity:d=2", "--tol", "inf"])
         assert exc.value.code == 1
+        # the parser is reused: after the usage error, in-process runs print
+        # what a fresh process prints for the same flags
+        capsys.readouterr()
+        for fmt in ("json", "csv"):
+            argv = ["capacity", "--named", "depolarizing:d=2,p=0.5", "--format", fmt]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == run_cli(*argv).stdout
 
     def test_zero_trials(self):
         res = run_cli("verify-sandwich", "--trials", "0")
@@ -230,6 +238,13 @@ class TestConfigValidation:
             res = run_cli("verify-ratio", flag, "0")
             assert res.returncode == 1
             assert f"argument {flag}" in res.stderr
+        # counts past sys.maxsize and negative seeds are usage errors too
+        for flag, value in (("--trials", "1" + "0" * 30), ("--seed", "-1")):
+            res = run_cli("verify-sandwich", flag, value)
+            assert res.returncode == 1
+            assert f"argument {flag}" in res.stderr and "Traceback" not in res.stderr
+        res = run_cli("verify-sandwich", "--trials", "2", "--seed", "0", "--jobs", "1")
+        assert res.returncode == 0
 
     def test_unknown_named_channel(self):
         res = run_cli("capacity", "--named", "amplitude:d=2")

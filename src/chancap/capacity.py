@@ -47,19 +47,16 @@ RATIO_CUTOFF_BITS = 1e-9  # C_E / C_H is undefined where C_H is at or below this
 ANCHOR_MIX = 1e-12  # weight of the anchor state mixed in so that a logarithm is defined
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
 ARMIJO = 1e-4  # sufficient-increase constant of every line search
-STEP_FLOOR = 1e-8  # smallest step of the mirror ascent
+STEP_FLOOR = 1e-8  # smallest step of every line search; below it the search gives up
 MIN_BB_STEP = 1e-3  # sphere-ascent Barzilai-Borwein steps are raised to at least this
 MAX_MOVE = 1e3  # bound on a sphere-ascent move, step * |tangent|: flat objectives step long
-MAX_HALVINGS = 25  # halvings per sphere-ascent line search
-MIN_RETRY_STEP = 1e-14  # a failed row retries from at least this step; below, float precision
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
 GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
 WEIGHT_TOL_CAP = 1e-11  # cap on the weight solve's gap tolerance 0.02 tol
 MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
 POSITION_SWEEPS = 3  # witness-position ascent sweeps per outer iteration of the Holevo solver
-MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope,
-MIN_POSITION_STEP = 1e-10  # or when their line search fails below this step
+MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope
 DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
 
 
@@ -173,7 +170,6 @@ def entanglement_assisted_capacity(
             converged = True
             break
         step = 1.0
-        accepted = False
         while step >= STEP_FLOOR:
             h_try = h + step * grad
             trial = _assisted_point(channel, h_try)
@@ -181,10 +177,9 @@ def entanglement_assisted_capacity(
             if trial.value >= point.value + ARMIJO * gain:
                 point = trial
                 h = h_try - trial.logit_max * np.eye(d)  # keep logits bounded
-                accepted = True
                 break
             step /= 2.0
-        if not accepted:
+        else:
             break  # stalled below the step floor; gap reported honestly
     else:  # out of iterations: the gap at the last accepted point
         gap = _gradient_and_gap(channel, point)[1]
@@ -238,26 +233,24 @@ def _sphere_ascent(
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
     step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
     raised to MIN_BB_STEP; where Re<s,y> <= 0, as before a row first moves,
-    it starts from its own doubled last step instead. Either start is cut so
-    that the move, step * |tangent|, is at most MAX_MOVE. Bounding the move
-    rather than the step does not depend on the objective's scale: on a flat
-    one (curvature ~1e-6 at a depolarizing weight p = 0.999) a row takes the
-    long step Barzilai-Borwein asks for instead of crawling. A round evaluates
-    value and gradient at the trial point of every active row from one batched
-    eigendecomposition: an accepted row moves and holds the gradient for its
-    next step, a rejected row halves its step for the next round. Rows retire
-    once their tangent gradient is below ``grad_tol``, after MAX_SEARCHES
-    line searches, or when MAX_HALVINGS halvings fail below MIN_RETRY_STEP;
-    row values never decrease. Returns the final (values, states) for every row.
+    it starts from its doubled last accepted step (1 for the first search).
+    Either start is cut so that the move, step * |tangent|, is at most
+    MAX_MOVE. Bounding the move rather than the step does not depend on the
+    objective's scale: on a flat one (curvature ~1e-6 at a depolarizing weight
+    p = 0.999) a row takes the long step Barzilai-Borwein asks for instead of
+    crawling. A round evaluates value and gradient at the trial point of every
+    active row from one batched eigendecomposition: an accepted row moves and
+    holds the gradient for its next step, a rejected row halves its step. A
+    row retires once its tangent gradient is at most ``grad_tol``, once its
+    step is halved below STEP_FLOOR, or after MAX_SEARCHES line searches; row
+    values never decrease. Returns the final (values, states) of every row.
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
     tangent = _tangent(psi, grads)
     norms = np.linalg.norm(tangent, axis=1)
     n = len(psi)
-    steps = np.ones(n)
-    alpha = np.ones(n)
-    halvings = np.zeros(n, dtype=int)
+    alpha = np.full(n, 0.5)  # the step of each row's search; a first search starts from 2 * 0.5
     searches = np.zeros(n, dtype=int)
     prev_psi = psi.copy()
     prev_tangent = np.zeros_like(psi)
@@ -271,11 +264,10 @@ def _sphere_ascent(
         sy = np.einsum("ri,ri->r", s.conj(), y).real
         use_bb = sy > 0.0
         bb = sy / np.where(use_bb, np.linalg.norm(y, axis=1) ** 2, 1.0)
-        start = np.where(use_bb, np.maximum(bb, MIN_BB_STEP), steps[rows])
+        start = np.where(use_bb, np.maximum(bb, MIN_BB_STEP), 2.0 * alpha[rows])
         alpha[rows] = np.minimum(start, MAX_MOVE / norms[rows])
         prev_psi[rows] = psi[rows]
         prev_tangent[rows] = tangent[rows]
-        halvings[rows] = 0
         searches[rows] += 1
         active[rows] = True
 
@@ -291,15 +283,9 @@ def _sphere_ascent(
         vals[moved] = cand_vals[ok]
         tangent[moved] = _tangent(cand[ok], cand_grads[ok])
         norms[moved] = np.linalg.norm(tangent[moved], axis=1)
-        rejected = idx[~ok]
-        alpha[rejected] /= 2.0
-        halvings[rejected] += 1
-        failed = rejected[halvings[rejected] == MAX_HALVINGS]
-        ended = np.concatenate([moved, failed])
-        steps[ended] = alpha[ended] * 2.0
-        active[ended] = False
-        retry = failed[alpha[failed] >= MIN_RETRY_STEP]
-        start_searches(np.concatenate([moved, retry]))
+        alpha[idx[~ok]] /= 2.0
+        active[idx] = ~ok & (alpha[idx] >= STEP_FLOOR)
+        start_searches(moved)
     return vals, psi
 
 
@@ -403,7 +389,7 @@ def _ensemble_weights(
     ``self_terms`` may cache trace_xlogx(outs).
     """
     m = outs.shape[0]
-    if init is not None and len(init) == m and init.min() >= 0 and init.sum() > 0:
+    if init is not None:
         p = np.clip(init, MIN_START_WEIGHT, None)
         p = p / p.sum()
     else:
@@ -451,18 +437,23 @@ def _ensemble_weights(
     return p, chi
 
 
-def _improve_positions(
+def _fit_ensemble(
     channel: QuantumChannel,
     witnesses: np.ndarray,
-    outs: np.ndarray,
-    weights: np.ndarray,
-    chi: float,
+    init: np.ndarray | None,
     anchor: np.ndarray,
     ba_tol: float,
 ):
-    """Move witness states along divergence-ascent tangents, line-searched on
-    the ensemble mixture divergence so the lower bound never decreases. The
-    outputs ``outs`` of the witnesses are returned updated with them."""
+    """Weights and positions of the witness ensemble for the certified lower bound.
+
+    The weights over the witnesses' outputs are solved from ``init`` (uniform
+    if None). With two or more witnesses, each of up to POSITION_SWEEPS sweeps
+    moves them along divergence-ascent tangents, line-searched on the mixture
+    divergence so the bound never decreases, then solves the weights again.
+    Returns (witnesses, outputs, weights, chi).
+    """
+    outs = pure_outputs(channel, witnesses)
+    weights, chi = _ensemble_weights(outs, anchor, ba_tol, init=init)
     if len(witnesses) < 2:
         return witnesses, outs, weights, chi
     for _ in range(POSITION_SWEEPS):
@@ -473,8 +464,7 @@ def _improve_positions(
         if slope <= MIN_SLOPE:
             break
         step = 1.0
-        moved = False
-        while step >= MIN_POSITION_STEP:
+        while step >= STEP_FLOOR:
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             cand_outs = pure_outputs(channel, cand)
@@ -482,10 +472,9 @@ def _improve_positions(
             chi_cand = float(weights @ _mixture_divergences(cand_outs, weights, cand_terms))
             if chi_cand >= chi + ARMIJO * step * slope:
                 witnesses, outs, chi, self_terms = cand, cand_outs, chi_cand, cand_terms
-                moved = True
                 break
             step /= 2.0
-        if not moved:
+        else:
             break
         weights, chi_new = _ensemble_weights(outs, anchor, ba_tol, weights, self_terms)
         chi = max(chi, chi_new)
@@ -534,13 +523,11 @@ def holevo_quantity(
             sigma_best = sigma
         if not any(abs(np.vdot(states[best], wv)) ** 2 >= DUPLICATE_OVERLAP for wv in witnesses):
             witnesses = np.concatenate([witnesses, states[best][None, :]])
-        outs = pure_outputs(channel, witnesses)
         init = None
-        if len(weights) and len(weights) + 1 == len(witnesses):
+        if len(weights) + 1 == len(witnesses):
             init = np.concatenate([weights * (1.0 - 1.0 / len(witnesses)), [1.0 / len(witnesses)]])
-        weights, chi = _ensemble_weights(outs, image_anchor, ba_tol, init=init)
-        witnesses, outs, weights, chi = _improve_positions(
-            channel, witnesses, outs, weights, chi, image_anchor, ba_tol
+        witnesses, outs, weights, chi = _fit_ensemble(
+            channel, witnesses, init, image_anchor, ba_tol
         )
         chi_best = max(chi_best, chi)
         gap = value_best - chi_best
@@ -548,7 +535,7 @@ def holevo_quantity(
             converged = True
             break
         keep = weights > WEIGHT_FLOOR
-        if keep.sum() and not keep.all():
+        if not keep.all():
             witnesses, outs = witnesses[keep], outs[keep]
             weights = weights[keep] / weights[keep].sum()
         sigma = _barycenter(outs, weights, image_anchor)

@@ -52,28 +52,39 @@ def _load_channel(args) -> channels.QuantumChannel:
     return chan
 
 
+_NAMED_KEYS = {  # the keys each --named family takes
+    "identity": ("d",), "depolarizing": ("d", "p"), "random": ("din", "dout", "kraus", "seed"),
+}
+
+
 def _named_channel(spec: str) -> channels.QuantumChannel:
-    """Parse --named specs like depolarizing:d=2,p=0.5 or random:din=3,dout=2,seed=7."""
+    """Parse --named specs like depolarizing:d=2,p=0.5 or random:din=3,dout=2,seed=7.
+
+    Every key must be one the family takes; dimensions and kraus must be at
+    least 1 and seed at least 0."""
     name, _, rest = spec.partition(":")
-    params: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"bad parameter {item!r} in --named spec")
-            params[key.strip()] = value.strip()
+    if name not in _NAMED_KEYS:
+        raise ValueError(f"unknown named channel {name!r} (use identity, depolarizing, random)")
+    params: dict[str, float] = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if not value:
+            raise ValueError(f"bad parameter {item!r} in --named spec")
+        if key not in _NAMED_KEYS[name]:
+            raise ValueError(f"unknown key {key!r} for {name} (use {', '.join(_NAMED_KEYS[name])})")
+        params[key] = float(value) if key == "p" else int(value)
+        low = 0 if key == "seed" else 1
+        if key != "p" and params[key] < low:
+            raise ValueError(f"{key} must be at least {low} in --named spec, got {value.strip()}")
     if name == "identity":
-        return channels.identity_channel(int(params.get("d", 2)))
+        return channels.identity_channel(params.get("d", 2))
     if name == "depolarizing":
-        return channels.depolarizing_channel(
-            int(params.get("d", 2)), float(params.get("p", 0.0))
-        )
-    if name == "random":
-        d_in = int(params.get("din", 2))
-        d_out = int(params.get("dout", d_in))
-        kraus = int(params["kraus"]) if "kraus" in params else None
-        return channels.random_channel(d_in, d_out, kraus, seed=int(params.get("seed", 0)))
-    raise ValueError(f"unknown named channel {name!r} (use identity, depolarizing, random)")
+        return channels.depolarizing_channel(params.get("d", 2), params.get("p", 0.0))
+    d_in = params.get("din", 2)
+    return channels.random_channel(
+        d_in, params.get("dout", d_in), params.get("kraus"), seed=params.get("seed", 0)
+    )
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -336,25 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=False, dims=False, channel=False):
+    flags = {
+        "--tol": dict(
+            type=_positive_float, default=capacity.DEFAULT_TOL, help="solver tolerance in nats"
+        ),
+        "--max-iter": dict(dest="max_iter", type=_int_from(1), default=capacity.DEFAULT_MAX_ITER),
+        "--restarts": dict(type=_int_from(1), default=capacity.DEFAULT_RESTARTS),
+        "--trials": dict(type=_int_from(1), default=100),
+        "--din": dict(type=_int_from(1), default=2),
+        "--dout": dict(type=_int_from(1), default=2),
+    }
+    solver = ("--tol", "--max-iter", "--restarts")
+
+    def common(p, *names, channel=False):  # every command takes --seed, --jobs and --out
         p.add_argument("--seed", type=_int_from(0), default=0, help="master seed")
-        p.add_argument(
-            "--tol", type=_positive_float, default=capacity.DEFAULT_TOL,
-            help="solver tolerance in nats",
-        )
-        p.add_argument(
-            "--max-iter", dest="max_iter", type=_int_from(1), default=capacity.DEFAULT_MAX_ITER
-        )
-        p.add_argument("--restarts", type=_int_from(1), default=capacity.DEFAULT_RESTARTS)
+        for name in names:
+            p.add_argument(name, **flags[name])
         p.add_argument(
             "--jobs", type=_int_from(1), default=None, help="worker processes (default: all cores)"
         )
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        if trials:
-            p.add_argument("--trials", type=_int_from(1), default=100)
-        if dims:
-            p.add_argument("--din", type=_int_from(1), default=2)
-            p.add_argument("--dout", type=_int_from(1), default=2)
         if channel:
             p.add_argument("channel_file", nargs="?", default=None)
             p.add_argument(
@@ -367,25 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_cap = sub.add_parser("capacity", help="compute both capacities of a channel")
-    common(p_cap, channel=True)
+    common(p_cap, *solver, channel=True)
     p_cap.add_argument("--format", choices=["csv", "json"], default="csv")
     p_cap.set_defaults(func=cmd_capacity)
 
     p_ratio = sub.add_parser(
         "verify-ratio", help="fuzz the dimension-dependent capacity-ratio bound"
     )
-    common(p_ratio, trials=True, dims=True)
+    common(p_ratio, *solver, "--trials", "--din", "--dout")
     p_ratio.set_defaults(func=cmd_verify_ratio)
 
     p_sand = sub.add_parser(
         "verify-sandwich",
         help="fuzz the two-sided quadratic-form bounds on the relative entropy",
     )
-    common(p_sand, trials=True, dims=True)
+    common(p_sand, "--trials", "--din")
     p_sand.set_defaults(func=cmd_verify_sandwich)
 
     p_chain = sub.add_parser("chain", help="replay the upper-bound chain on one instance")
-    common(p_chain, channel=True)
+    common(p_chain, "--tol", "--restarts", channel=True)
     p_chain.add_argument(
         "--state",
         default="max-entangled",
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="capacities of the qubit depolarizing family over a p grid"
     )
-    common(p_sweep)
+    common(p_sweep, *solver)
     p_sweep.add_argument("--points", type=_int_from(2), default=81)
     p_sweep.add_argument("--svg", default=None, help="also write an SVG plot here")
     p_sweep.set_defaults(func=cmd_sweep)

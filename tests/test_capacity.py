@@ -82,6 +82,17 @@ class TestAssistedCapacity:
         assert -1e-6 <= est.value_bits <= 2 * math.log2(2) + 1e-6
         np.testing.assert_allclose(np.trace(est.argmax_state), 1.0, atol=1e-10)
 
+    def test_stalls_at_the_step_floor(self):
+        # below a gap of about 5e-9 nats no step of at least STEP_FLOOR raises
+        # this channel's value, so an unreachable tolerance ends in a stall
+        # long before max_iter, with the gap reported as it stands
+        chan = random_channel(2, 3, seed=0)
+        est = entanglement_assisted_capacity(chan, tol=1e-300, max_iter=3000)
+        assert not est.converged and est.iterations < 3000
+        assert est.gap_bound <= 1e-8
+        reference = entanglement_assisted_capacity(chan)
+        assert abs(est.value_nats - reference.value_nats) <= capacity_module.DEFAULT_TOL
+
 
 def qutrit_with_discarded_level():
     """Identity on span{|0>, |1>}, with |2> sent to |0> by a Kraus operator of
@@ -218,6 +229,17 @@ class TestInnerSolvers:
             psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
             vals, _ = _sphere_ascent(chan, ln_sigma, starts)
             assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi)[0])
+        # rows started at a maximizer with grad_tol = 0 never converge: each
+        # retires once its line search halves the step below STEP_FLOOR
+        chan = random_channel(2, 2, seed=5)
+        sigma = chan.apply(np.eye(2) / 2)
+        _, best = max_output_divergence(chan, sigma)
+        ln_sigma = _log_matrix(sigma)
+        starts = np.repeat(best[None, :], 4, axis=0)
+        psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+        start_vals = _divergences_and_grads(chan, ln_sigma, psi)[0]
+        vals, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=0.0)
+        assert np.all(vals >= start_vals) and np.all(vals - start_vals <= 1e-12)
 
     def test_divergence_gradient_matches_central_differences(self):
         # along a tangent t of the unit sphere, D(T(psi)||sigma) changes at the

@@ -200,11 +200,16 @@ class TestConfigValidation:
     def test_defaults_come_from_capacity(self):
         parser = build_parser()
         assert build_parser() is parser  # built once per process
-        for command in ("capacity", "verify-ratio", "verify-sandwich", "chain", "sweep"):
+        for command in ("capacity", "verify-ratio", "chain", "sweep"):
             args = parser.parse_args([command])
             assert args.tol == capacity.DEFAULT_TOL
             assert args.restarts == capacity.DEFAULT_RESTARTS
-            assert args.max_iter == capacity.DEFAULT_MAX_ITER
+            if command != "chain":
+                assert args.max_iter == capacity.DEFAULT_MAX_ITER
+        # a command takes only the flags it reads
+        assert not hasattr(parser.parse_args(["chain"]), "max_iter")
+        sandwich = vars(parser.parse_args(["verify-sandwich"]))
+        assert not {"tol", "max_iter", "restarts", "dout"} & set(sandwich)
         ratio = inspect.signature(certify.verify_ratio_bound).parameters
         assert ratio["tol"].default == capacity.DEFAULT_TOL
         assert ratio["restarts"].default == capacity.DEFAULT_RESTARTS
@@ -249,6 +254,19 @@ class TestConfigValidation:
     def test_unknown_named_channel(self):
         res = run_cli("capacity", "--named", "amplitude:d=2")
         assert res.returncode == 1
+        # a key the family does not take, and a dimension or seed out of range,
+        # are input errors that name the key
+        for spec, key in (
+            ("depolarizing:d=2,P=0.5", "'P'"),
+            ("random:din=2,dout=2,sed=7", "'sed'"),
+            ("identity:d=0", "d must be"),
+            ("random:din=0", "din must be"),
+            ("random:din=2,dout=0", "dout must be"),
+            ("random:seed=-1", "seed must be"),
+        ):
+            res = run_cli("capacity", "--named", spec)
+            assert res.returncode == 1
+            assert key in res.stderr and "Traceback" not in res.stderr
 
     def test_zero_jobs(self):
         res = run_cli("verify-sandwich", "--trials", "3", "--jobs", "0")

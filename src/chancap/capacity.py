@@ -33,7 +33,6 @@ from .linalg import (
     seeded_rng,
     spectral_matrix,
     trace_xlogx,
-    xlogx_sum,
 )
 
 LN2 = float(np.log(2.0))
@@ -58,6 +57,7 @@ MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
 POSITION_SWEEPS = 3  # witness-position ascent sweeps per outer iteration of the Holevo solver
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope
 DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
+MERGE_OVERLAP = 1.0 - 1e-3  # a sphere-ascent row this close to a higher row merges into it
 
 
 @dataclass
@@ -203,23 +203,29 @@ def _divergences(outs: np.ndarray, ln_sigma: np.ndarray, self_terms=None) -> np.
 def _divergences_and_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
     """D(T(psi psi*)||sigma) and its Wirtinger gradient for a stack of unit vectors.
 
-    Row i of the gradient is g_i = T*(ln T(psi_i) - ln sigma) psi_i, with T* the
-    adjoint map: along a tangent t (Re<psi_i, t> = 0) the divergence changes at
-    the rate 2 Re<g_i, t>. Both come from one eigendecomposition of the outputs.
+    Row i of the gradient is g_i = V* (1 (x) X_i) V psi_i, with V the Stinespring
+    isometry kraus.reshape(m * d_out, d_in) and X_i = ln T(psi_i) - ln sigma; the
+    divergence is Re<psi_i, g_i>, and along a tangent t (Re<psi_i, t> = 0) it
+    changes at the rate 2 Re<g_i, t>. Both come from one eigendecomposition of
+    the outputs; every product is per row, so no row depends on the others.
     """
-    amps = np.einsum("mbi,ri->rmb", channel.kraus, states)
-    outs = np.einsum("rmb,rmc->rbc", amps, amps.conj())
-    eig = clamped_eigh(outs)
-    vals = _divergences(outs, ln_sigma, xlogx_sum(eig.values))
-    x = eigensystem_log(eig) - ln_sigma
-    z = np.einsum("rbc,rmc->rmb", x, amps)
-    return vals, np.einsum("rmb,mbi->ri", z, channel.kraus.conj())
+    m, d_out, d_in = channel.kraus.shape
+    v = channel.kraus.reshape(m * d_out, d_in)
+    amps = (v @ states[:, :, None]).reshape(-1, m, d_out)  # row i: V psi_i as m x d_out
+    x = eigensystem_log(clamped_eigh(amps.swapaxes(1, 2) @ amps.conj())) - ln_sigma
+    grads = ((amps @ x.swapaxes(1, 2)).reshape(-1, 1, m * d_out) @ v.conj()).reshape(-1, d_in)
+    return np.einsum("ri,ri->r", states.conj(), grads).real, grads
 
 
 def _tangent(states: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Gradients projected onto the tangent spaces of the unit sphere at ``states``."""
     overlap = np.einsum("ri,ri->r", states.conj(), grads)
     return grads - overlap[:, None] * states
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a_i, b_i> for each row of two contiguous complex stacks, from their real views."""
+    return np.einsum("ri,ri->r", a.view(float), b.view(float))
 
 
 def _sphere_ascent(
@@ -232,61 +238,68 @@ def _sphere_ascent(
 
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
     step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
-    raised to MIN_BB_STEP; where Re<s,y> <= 0, as before a row first moves,
-    it starts from its doubled last accepted step (1 for the first search).
-    Either start is cut so that the move, step * |tangent|, is at most
-    MAX_MOVE. Bounding the move rather than the step does not depend on the
+    raised to MIN_BB_STEP; where Re<s,y> <= 0 it starts from its doubled last
+    accepted step (1 for the first search). Either start is cut so that the
+    move, step * |tangent|, is at most MAX_MOVE, which does not depend on the
     objective's scale: on a flat one (curvature ~1e-6 at a depolarizing weight
-    p = 0.999) a row takes the long step Barzilai-Borwein asks for instead of
-    crawling. A round evaluates value and gradient at the trial point of every
-    active row from one batched eigendecomposition: an accepted row moves and
-    holds the gradient for its next step, a rejected row halves its step. A
-    row retires once its tangent gradient is at most ``grad_tol``, once its
-    step is halved below STEP_FLOOR, or after MAX_SEARCHES line searches; row
-    values never decrease. Returns the final (values, states) of every row.
+    p = 0.999) a row takes the long step Barzilai-Borwein asks for. A round
+    evaluates the trial points of all working rows in one kernel call and, under
+    one mask, moves each accepted row and halves each rejected row's step. A
+    row retires once its tangent is at most ``grad_tol``, its step is halved
+    below STEP_FLOOR, or it has run MAX_SEARCHES searches. A row whose accepted
+    point has squared overlap at least MERGE_OVERLAP with a row of higher value
+    (on a tie, of lower index) merges into it: it stops, and ends with that
+    row's final value and state. No row ends below its start. Returns the
+    final (values, states) of every row.
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
-    tangent = _tangent(psi, grads)
-    norms = np.linalg.norm(tangent, axis=1)
     n = len(psi)
-    alpha = np.full(n, 0.5)  # the step of each row's search; a first search starts from 2 * 0.5
-    searches = np.zeros(n, dtype=int)
-    prev_psi = psi.copy()
-    prev_tangent = np.zeros_like(psi)
-    active = np.zeros(n, dtype=bool)
-
-    def start_searches(rows):
-        """Start a line search on each row not yet converged or out of searches."""
-        rows = rows[(norms[rows] > grad_tol) & (searches[rows] < MAX_SEARCHES)]
-        s = psi[rows] - prev_psi[rows]
-        y = prev_tangent[rows] - tangent[rows]
-        sy = np.einsum("ri,ri->r", s.conj(), y).real
-        use_bb = sy > 0.0
-        bb = sy / np.where(use_bb, np.linalg.norm(y, axis=1) ** 2, 1.0)
-        start = np.where(use_bb, np.maximum(bb, MIN_BB_STEP), 2.0 * alpha[rows])
-        alpha[rows] = np.minimum(start, MAX_MOVE / norms[rows])
-        prev_psi[rows] = psi[rows]
-        prev_tangent[rows] = tangent[rows]
-        searches[rows] += 1
-        active[rows] = True
-
-    start_searches(np.arange(n))
-    while active.any():
-        idx = np.flatnonzero(active)
-        cand = psi[idx] + alpha[idx, None] * tangent[idx]
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    best_vals, best_psi = vals.copy(), psi.copy()  # each row's last accepted point
+    partner, rows = np.arange(n), np.arange(n)  # the row each merged into; the working rows
+    tangent = grads - vals[:, None] * psi  # vals is Re<psi, g>: the tangent part of g
+    norms = np.linalg.norm(tangent, axis=1)
+    alpha = MAX_MOVE / np.maximum(norms, MAX_MOVE)  # the first step is 1, capped by MAX_MOVE
+    searches = np.ones(n, dtype=int)
+    keep = norms > grad_tol
+    while keep.any():
+        if not keep.all():
+            rows, psi, vals, tangent, norms, alpha, searches = (
+                a[keep] for a in (rows, psi, vals, tangent, norms, alpha, searches)
+            )
+        cand = psi + alpha[:, None] * tangent
+        cand /= np.sqrt(_re_inner(cand, cand))[:, None]
         cand_vals, cand_grads = _divergences_and_grads(channel, ln_sigma, cand)
-        ok = cand_vals >= vals[idx] + ARMIJO * alpha[idx] * norms[idx] ** 2
-        moved = idx[ok]
-        psi[moved] = cand[ok]
-        vals[moved] = cand_vals[ok]
-        tangent[moved] = _tangent(cand[ok], cand_grads[ok])
-        norms[moved] = np.linalg.norm(tangent[moved], axis=1)
-        alpha[idx[~ok]] /= 2.0
-        active[idx] = ~ok & (alpha[idx] >= STEP_FLOOR)
-        start_searches(moved)
-    return vals, psi
+        ok = cand_vals >= vals + ARMIJO * alpha * norms**2
+        cand_tangent = cand_grads - cand_vals[:, None] * cand
+        cand_norms = np.sqrt(_re_inner(cand_tangent, cand_tangent))
+        y = tangent - cand_tangent
+        sy = _re_inner(cand - psi, y)
+        use_bb = sy > 0.0
+        bb = np.maximum(sy / np.where(use_bb, _re_inner(y, y), 1.0), MIN_BB_STEP)
+        start = np.where(use_bb, bb, 2.0 * alpha)
+        # min(start, MAX_MOVE / |tangent|) for an accepted row, without dividing by a zero tangent
+        alpha = np.where(ok, MAX_MOVE / np.maximum(cand_norms, MAX_MOVE / start), alpha / 2.0)
+        searches += ok
+        psi = np.where(ok[:, None], cand, psi)
+        vals = np.where(ok, cand_vals, vals)
+        tangent = np.where(ok[:, None], cand_tangent, tangent)
+        norms = np.where(ok, cand_norms, norms)
+        keep = np.where(ok, (norms > grad_tol) & (searches <= MAX_SEARCHES), alpha >= STEP_FLOOR)
+        if ok.any():
+            best_psi[rows], best_vals[rows] = psi, vals
+            moved = rows[ok]
+            near = np.abs(psi[ok].conj() @ best_psi.T) ** 2 >= MERGE_OVERLAP
+            if near.sum() > moved.size:  # a moved row is near a row other than itself
+                v = vals[ok, None]
+                near &= np.where(np.arange(n) < moved[:, None], best_vals >= v, best_vals > v)
+                hit = near.any(axis=1)
+                partner[moved[hit]] = near[hit].argmax(axis=1)
+                best_psi[moved[hit]] = 0.0  # so no row merges into a merged one
+                keep &= partner[rows] == rows
+    while (partner[partner] != partner).any():  # follow merge chains to their survivors
+        partner = partner[partner]
+    return best_vals[partner], best_psi[partner]
 
 
 def max_output_divergence(
@@ -296,7 +309,8 @@ def max_output_divergence(
 
     Multi-start projected gradient ascent on the unit sphere, vectorized over
     the restarts. Returns (best value in nats, best input vector); ties are
-    broken by the lowest start index.
+    broken by the lowest start index. A restart that merged into a higher one
+    ties with it and returns its state, so a tie does not change the vector.
     """
     d = channel.d_in
     g = seeded_rng(seed)
@@ -495,7 +509,8 @@ def holevo_quantity(
     positions are optimized for the certified mixture-divergence lower bound.
     The value is the inner supremum at the final reference; the gap is that
     value minus the best lower bound. The inner problem is non-concave, so
-    the supremum is heuristic and the gap is reported honestly.
+    the supremum is heuristic and the gap is reported honestly. Ascent rows
+    that close in on a higher row merge into it.
     """
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)

@@ -60,8 +60,8 @@ _NAMED_KEYS = {  # the keys each --named family takes
 def _named_channel(spec: str) -> channels.QuantumChannel:
     """Parse --named specs like depolarizing:d=2,p=0.5 or random:din=3,dout=2,seed=7.
 
-    Every key must be one the family takes; dimensions and kraus must be at
-    least 1 and seed at least 0."""
+    Every key must be one the family takes, with a numeric value (an integer
+    but for p); dimensions and kraus must be at least 1 and seed at least 0."""
     name, _, rest = spec.partition(":")
     if name not in _NAMED_KEYS:
         raise ValueError(f"unknown named channel {name!r} (use identity, depolarizing, random)")
@@ -73,7 +73,11 @@ def _named_channel(spec: str) -> channels.QuantumChannel:
             raise ValueError(f"bad parameter {item!r} in --named spec")
         if key not in _NAMED_KEYS[name]:
             raise ValueError(f"unknown key {key!r} for {name} (use {', '.join(_NAMED_KEYS[name])})")
-        params[key] = float(value) if key == "p" else int(value)
+        convert, kind = (float, "a number") if key == "p" else (int, "an integer")
+        try:
+            params[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"{key} must be {kind} in --named spec, got {value.strip()}") from None
         low = 0 if key == "seed" else 1
         if key != "p" and params[key] < low:
             raise ValueError(f"{key} must be at least {low} in --named spec, got {value.strip()}")

@@ -5,7 +5,8 @@ relative entropy and the log-derivative form by quadrature, the channel
 mutual information through a purification of the input, and the barycenter
 (Donald) identity as a residual of relative entropies. The per-member loops
 are the references for the library's stacked evaluations: one single-pair
-call per member, and the bound chain summed member by member.
+call per member, and the bound chain summed member by member. The sphere
+ascent's divergence kernel is checked against its Kraus-index einsum form.
 """
 
 import numpy as np
@@ -25,7 +26,15 @@ from chancap.entropy import (
     mutual_information,
     relative_entropy,
 )
-from chancap.linalg import INPUT_TOL, hermitian_eig, partial_trace, schmidt_decompose
+from chancap.linalg import (
+    INPUT_TOL,
+    clamped_eigh,
+    eigensystem_log,
+    hermitian_eig,
+    partial_trace,
+    schmidt_decompose,
+    xlogx_sum,
+)
 
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-10
@@ -75,6 +84,17 @@ def relative_entropy_via_integral(rho: np.ndarray, tau: np.ndarray) -> float:
         integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
     )
     return value
+
+
+def divergences_and_grads_by_einsum(channel: QuantumChannel, ln_sigma: np.ndarray, states):
+    """D(T(psi psi*)||sigma) and its Wirtinger gradient T*(ln T(psi) - ln sigma) psi
+    for a stack of unit vectors, contracted over the Kraus index with einsum."""
+    amps = np.einsum("mbi,ri->rmb", channel.kraus, states)
+    outs = np.einsum("rmb,rmc->rbc", amps, amps.conj())
+    eig = clamped_eigh(outs)
+    vals = xlogx_sum(eig.values) - np.einsum("rbc,cb->r", outs, ln_sigma).real
+    z = np.einsum("rbc,rmc->rmb", eigensystem_log(eig) - ln_sigma, amps)
+    return vals, np.einsum("rmb,mbi->ri", z, channel.kraus.conj())
 
 
 def purify(rho: np.ndarray) -> np.ndarray:

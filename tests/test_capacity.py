@@ -2,6 +2,8 @@ import math
 import warnings
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chancap.capacity as capacity_module
 from chancap import (
@@ -21,6 +23,7 @@ from chancap import (
     seeded_rng,
 )
 from chancap.capacity import (
+    GRAD_TOL_RANGE,
     LN2,
     _divergences_and_grads,
     _ensemble_weights,
@@ -31,6 +34,7 @@ from chancap.capacity import (
 from chancap.channels import pure_outputs as _batch_outputs
 from chancap.entropy import mutual_information as _mutual_information_nats
 from chancap.linalg import log_matrix as _log_matrix
+from oracles import divergences_and_grads_by_einsum
 
 # closed forms for the depolarizing family, derived independently of the solvers:
 # the assisted value comes from the maximally mixed input (the covariant
@@ -284,6 +288,82 @@ class TestInnerSolvers:
             value, _ = max_output_divergence(chan, sigma, restarts=8)
         assert batches == [8]  # the starts' evaluation; every row retires at once
         assert abs(value - relative_entropy(chan.apply(np.eye(1)), sigma).value) < 1e-12
+
+    def test_divergence_kernel_matches_einsum_reference(self):
+        # the Stinespring-matmul kernel against the Kraus-index einsum form on
+        # every (d_in, d_out) in {1..4}^2, for a generic channel and an isometry
+        # (pure, rank-1 outputs), against a full-rank and a rank-deficient
+        # sigma; a row computed alone gives the same bits as in the stack
+        for din in range(1, 5):
+            for dout in range(1, 5):
+                chans = [random_channel(din, dout, seed=(100, din, dout))]
+                if din <= dout:
+                    chans.append(random_channel(din, dout, 1, seed=(101, din, dout)))
+                g = seeded_rng(102, din, dout)
+                psi = g.standard_normal((5, din)) + 1j * g.standard_normal((5, din))
+                psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+                for rank in {dout, max(1, dout - 1)}:
+                    ln_sigma = _log_matrix(random_density_matrix(dout, rank, (103, din, rank)))
+                    for chan in chans:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            vals, grads = _divergences_and_grads(chan, ln_sigma, psi)
+                        ref_vals, ref_grads = divergences_and_grads_by_einsum(chan, ln_sigma, psi)
+                        np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-12)
+                        np.testing.assert_allclose(grads, ref_grads, rtol=0.0, atol=1e-12)
+                        for i in range(len(psi)):
+                            alone = _divergences_and_grads(chan, ln_sigma, psi[i : i + 1])
+                            assert alone[0][0] == vals[i]
+                            assert np.array_equal(alone[1][0], grads[i])
+
+    def test_rows_near_one_point_merge_into_one(self, monkeypatch):
+        # six starts within 1e-6 of one point all pass their first trial step
+        # and stay within MERGE_OVERLAP of each other, so all but the highest
+        # merge into it: every later batch holds one row, and every row
+        # returns that row's value and state
+        batches = []
+        fused = capacity_module._divergences_and_grads
+
+        def counted(channel, ln_sigma, states):
+            batches.append(len(states))
+            return fused(channel, ln_sigma, states)
+
+        monkeypatch.setattr(capacity_module, "_divergences_and_grads", counted)
+        for trial, (din, dout) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3)]):
+            chan = random_channel(din, dout, seed=(80, trial))
+            ln_sigma = _log_matrix(random_density_matrix(dout, dout, (81, trial)))
+            g = seeded_rng(82, trial)
+            noise = g.standard_normal((6, din)) + 1j * g.standard_normal((6, din))
+            starts = random_pure_state(din, (83, trial)) + 1e-6 * noise
+            batches.clear()
+            vals, psi = _sphere_ascent(chan, ln_sigma, starts)
+            assert batches[:2] == [6, 6] and set(batches[2:]) == {1}
+            assert np.all(vals == vals[0]) and np.all(psi == psi[0])
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        grad_tol=st.sampled_from(GRAD_TOL_RANGE),
+    )
+    def test_property_rows_rise_and_the_best_retires_stationary(self, dims, rows, seed, grad_tol):
+        # every row ends at least at its start value. The argmax row's tangent
+        # is at most grad_tol, unless it retired at the step floor or out of
+        # searches; then a fresh ascent from it gains at most rounding
+        din, dout = dims
+        chan = random_channel(din, dout, seed=seed)
+        ln_sigma = _log_matrix(random_density_matrix(dout, dout, (seed, 1)))
+        g = seeded_rng(seed, 2)
+        starts = g.standard_normal((rows, din)) + 1j * g.standard_normal((rows, din))
+        psi0 = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+        vals, psi = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
+        assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi0)[0])
+        best = psi[np.argmax(vals)][None, :]
+        tangent = _tangent(best, _divergences_and_grads(chan, ln_sigma, best)[1])
+        if np.linalg.norm(tangent) > grad_tol:
+            again, _ = _sphere_ascent(chan, ln_sigma, best, grad_tol=grad_tol)
+            assert again[0] - vals.max() <= 1e-12
 
     def test_ensemble_weights_close_the_gap_on_degenerate_alphabets(self):
         # five and nine qubit outputs, and twelve qutrit outputs (more than

@@ -268,6 +268,16 @@ class TestConfigValidation:
             assert res.returncode == 1
             assert key in res.stderr and "Traceback" not in res.stderr
 
+    def test_non_numeric_named_value(self):
+        # a value that does not parse is an input error that names its key
+        for spec, message in (
+            ("random:din=x", "error: din must be an integer in --named spec, got x"),
+            ("depolarizing:d=2,p=abc", "error: p must be a number in --named spec, got abc"),
+        ):
+            res = run_cli("capacity", "--named", spec)
+            assert res.returncode == 1
+            assert res.stderr.strip() == message
+
     def test_zero_jobs(self):
         res = run_cli("verify-sandwich", "--trials", "3", "--jobs", "0")
         assert res.returncode == 1

@@ -87,15 +87,36 @@ class TestAssistedCapacity:
         np.testing.assert_allclose(np.trace(est.argmax_state), 1.0, atol=1e-10)
 
     def test_stalls_at_the_step_floor(self):
-        # below a gap of about 5e-9 nats no step of at least STEP_FLOOR raises
-        # this channel's value, so an unreachable tolerance ends in a stall
-        # long before max_iter, with the gap reported as it stands
+        # a first-order gap g buys a value gain of about g^2 / (2 curvature),
+        # which sinks below the rounding of the value (about 2e-16 nats) once g
+        # is a few 1e-9: then neither the extrapolated trial nor any step of at
+        # least STEP_FLOOR passes Armijo but by chance. An unreachable tolerance
+        # ends in a stall long before max_iter, with the gap reported as it stands
         chan = random_channel(2, 3, seed=0)
         est = entanglement_assisted_capacity(chan, tol=1e-300, max_iter=3000)
         assert not est.converged and est.iterations < 3000
         assert est.gap_bound <= 1e-8
         reference = entanglement_assisted_capacity(chan)
         assert abs(est.value_nats - reference.value_nats) <= capacity_module.DEFAULT_TOL
+
+    def test_stop_reasons(self):
+        chan = random_channel(2, 3, seed=0)
+        full = entanglement_assisted_capacity(chan)
+        assert full.converged and full.stop_reason == "gap"
+        stalled = entanglement_assisted_capacity(chan, tol=1e-300)
+        assert not stalled.converged and stalled.stop_reason == "step_floor"
+        short = entanglement_assisted_capacity(chan, max_iter=2)
+        assert not short.converged and short.stop_reason == "max_iter"
+        assert short.iterations == 2 and short.gap_bound > 1e-7
+        # the point accepted in the last allowed iteration closes the gap: the
+        # solve reports it as the full solve does, one gap check earlier
+        last = entanglement_assisted_capacity(chan, max_iter=full.iterations - 1)
+        assert last.converged and last.stop_reason == "gap"
+        assert (last.value_nats, last.gap_bound) == (full.value_nats, full.gap_bound)
+        # the Holevo solver stops only on its gap or out of iterations
+        assert holevo_quantity(identity_channel(2)).stop_reason == "gap"
+        short = holevo_quantity(random_channel(3, 3, seed=1), max_iter=1)
+        assert not short.converged and short.stop_reason == "max_iter"
 
 
 def qutrit_with_discarded_level():
@@ -131,6 +152,32 @@ class TestAssistedCertificate:
             assert abs(est.gap_bound - gap) <= 1e-12
         assert np.linalg.eigvalsh(rho)[0] < 1e-12  # the last channel ends rank-deficient
         assert abs(est.value_bits - 2.0) < 1e-6
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        din=st.integers(1, 4),
+        dout=st.integers(1, 4),
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_gap_bounds_every_state(self, din, dout, rank, seed):
+        # concavity: I(rho') <= value + gap for every input state rho', pure,
+        # rank-deficient or full; and C_E does not change when the input and
+        # the output are rotated by unitaries
+        tol = 1e-7
+        chan = random_channel(din, dout, seed=seed)
+        est = entanglement_assisted_capacity(chan, tol=tol)
+        for k in range(4):
+            rho = random_density_matrix(din, min(rank, din), (seed, k))
+            assert _mutual_information_nats(chan, rho) <= est.value_nats + est.gap_bound + 1e-12
+        g = seeded_rng(seed, 1)
+        u_in, u_out = (
+            np.linalg.qr(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))[0]
+            for n in (din, dout)
+        )
+        rotated = QuantumChannel(np.einsum("ab,mbc,dc->mad", u_out, chan.kraus, u_in.conj()))
+        rotated_est = entanglement_assisted_capacity(rotated, tol=tol)
+        assert abs(rotated_est.value_nats - est.value_nats) <= 2 * tol
 
 
 class TestGradient:

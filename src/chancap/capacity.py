@@ -9,7 +9,8 @@ sphere ascent (inner supremum; Armijo steps started from Barzilai-Borwein
 step lengths) with barycenter updates of the reference state over an
 accumulated witness ensemble whose positions and weights are improved
 monotonically in the certified lower bound. The weights come from damped
-Newton steps on the optimality conditions over a Caratheodory-reduced support.
+Newton steps on the optimality conditions over a Caratheodory-reduced support,
+with a Frank-Wolfe step where Newton fails.
 
 Both ascents take a trial point's value and gradient from one
 eigendecomposition of each of its matrices (the outputs of the sphere
@@ -300,7 +301,8 @@ def _sphere_ascent(
     point has squared overlap at least MERGE_OVERLAP with a row of higher value
     (on a tie, of lower index) merges into it: it stops, and ends with that
     row's final value and state. No row ends below its start. Returns the
-    final (values, states) of every row.
+    final (values, states) of every row and the index of the row each ended in
+    (itself unless it merged).
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
@@ -349,7 +351,7 @@ def _sphere_ascent(
                 keep &= partner[rows] == rows
     while (partner[partner] != partner).any():  # follow merge chains to their survivors
         partner = partner[partner]
-    return best_vals[partner], best_psi[partner]
+    return best_vals[partner], best_psi[partner], partner
 
 
 def max_output_divergence(
@@ -366,7 +368,7 @@ def max_output_divergence(
     g = seeded_rng(seed)
     starts = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
     ln_sigma = log_matrix(np.asarray(sigma, dtype=complex))
-    vals, psi = _sphere_ascent(channel, ln_sigma, starts)
+    vals, psi, _ = _sphere_ascent(channel, ln_sigma, starts)
     best = int(np.argmax(vals))
     return float(vals[best]), psi[best]
 
@@ -434,14 +436,15 @@ def _ensemble_weights(
     outs: np.ndarray,
     floor_state: np.ndarray,
     tol: float,
-    init: np.ndarray | None = None,
+    init: np.ndarray,
     self_terms: np.ndarray | None = None,
 ):
     """Optimal weights over a fixed output alphabet.
 
     Maximizes the mixture divergence chi (the restricted-alphabet capacity in
-    nats) until the optimality gap max_i D_i - chi is at most ``tol``, by up
-    to NEWTON_STEPS damped Newton steps on D_i = chi. More than d^2 outputs (d the
+    nats) from the weights ``init``, raised to at least MIN_START_WEIGHT,
+    until the optimality gap max_i D_i - chi is at most ``tol``, by up to
+    NEWTON_STEPS damped Newton steps on D_i = chi. More than d^2 outputs (d the
     output dimension) are affinely dependent and make the Newton system
     singular, so such a support is first cut by a Caratheodory step: along a
     null vector z of the stacked [Re vec(out_i); Im vec(out_i); 1] the
@@ -449,15 +452,15 @@ def _ensemble_weights(
     z @ self_terms, so the weights move uphill until the first one is zero.
     That point is kept if its exact chi is not lower. A Newton step, halved
     up to 4 times, is kept if its exact chi is above the start's and it
-    lowers the gap or raises chi. Returns (weights, chi at those weights).
-    ``self_terms`` may cache trace_xlogx(outs).
+    lowers the gap or raises chi. If all five are rejected, a Frank-Wolfe
+    step (1 - t) p + t e_worst towards the output with the largest D_i, along
+    which chi rises at the rate of the gap, is halved from t = 1 until Armijo
+    holds; the solve stops once t is below STEP_FLOOR. Returns (weights, chi
+    at those weights). ``self_terms`` may cache trace_xlogx(outs).
     """
     m = outs.shape[0]
-    if init is not None:
-        p = np.clip(init, MIN_START_WEIGHT, None)
-        p = p / p.sum()
-    else:
-        p = np.full(m, 1.0 / m)
+    p = np.clip(init, MIN_START_WEIGHT, None)
+    p = p / p.sum()
     if m == 1:
         return p, 0.0
     if self_terms is None:
@@ -497,29 +500,41 @@ def _ensemble_weights(
                 p, chi, dvals, eig, gap = q, chi_q, dvals_q, eig_q, gap_q
                 break
         else:
-            break
+            worst, t = int(np.argmax(dvals)), 1.0
+            while t >= STEP_FLOOR:
+                q = (1.0 - t) * p
+                q[worst] += t
+                chi_q = chi_exact(q)
+                if chi_q >= chi + ARMIJO * t * gap:
+                    break
+                t /= 2.0
+            else:
+                break
+            dvals, eig = divergences(q)
+            p, chi, gap = q, chi_q, dvals.max() - float(q @ dvals)
     return p, chi
 
 
 def _fit_ensemble(
     channel: QuantumChannel,
     witnesses: np.ndarray,
-    init: np.ndarray | None,
+    init: np.ndarray,
     anchor: np.ndarray,
     ba_tol: float,
 ):
     """Weights and positions of the witness ensemble for the certified lower bound.
 
-    The weights over the witnesses' outputs are solved from ``init`` (uniform
-    if None). With two or more witnesses, each of up to POSITION_SWEEPS sweeps
-    moves them along divergence-ascent tangents, line-searched on the mixture
-    divergence so the bound never decreases, then solves the weights again.
-    Returns (witnesses, outputs, weights, chi).
+    The weights over the witnesses' outputs are solved from ``init``. With two
+    or more witnesses, each of up to POSITION_SWEEPS sweeps then moves them at
+    these weights along divergence-ascent tangents, line-searched on the
+    mixture divergence so the bound never decreases; if any sweep moved them,
+    the weights are solved once more. Returns (witnesses, outputs, weights, chi).
     """
     outs = pure_outputs(channel, witnesses)
-    weights, chi = _ensemble_weights(outs, anchor, ba_tol, init=init)
+    weights, chi = _ensemble_weights(outs, anchor, ba_tol, init)
     if len(witnesses) < 2:
         return witnesses, outs, weights, chi
+    self_terms = None  # set once a sweep moves the witnesses
     for _ in range(POSITION_SWEEPS):
         ln_avg = log_matrix(_barycenter(outs, weights, anchor))
         _, grads = _divergences_and_grads(channel, ln_avg, witnesses)
@@ -540,6 +555,7 @@ def _fit_ensemble(
             step /= 2.0
         else:
             break
+    if self_terms is not None:
         weights, chi_new = _ensemble_weights(outs, anchor, ba_tol, weights, self_terms)
         chi = max(chi, chi_new)
     return witnesses, outs, weights, chi
@@ -560,7 +576,12 @@ def holevo_quantity(
     The value is the inner supremum at the final reference; the gap is that
     value minus the best lower bound. The inner problem is non-concave, so
     the supremum is heuristic and the gap is reported honestly. Ascent rows
-    that close in on a higher row merge into it.
+    that close in on a higher row merge into it. Each outer iteration adds
+    the best row's state as a witness, and every other final state that two
+    or more rows ended in with a divergence above the best lower bound, highest
+    first, each unless it is within DUPLICATE_OVERLAP of a witness. The new
+    witnesses start at weight 1/n each (n witnesses in all) and the others
+    keep their weights, scaled to fill the rest.
     """
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
@@ -580,17 +601,19 @@ def holevo_quantity(
         fresh = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
         starts = np.concatenate([witnesses, fresh]) if len(witnesses) else fresh
         ln_sigma = log_matrix(sigma)
-        vals, states = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
+        vals, states, partner = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
         best = int(np.argmax(vals))
         value = float(vals[best])
         if value < value_best:  # keep the best reference seen, not the last
             value_best = value
             sigma_best = sigma
-        if not any(abs(np.vdot(states[best], wv)) ** 2 >= DUPLICATE_OVERLAP for wv in witnesses):
-            witnesses = np.concatenate([witnesses, states[best][None, :]])
-        init = None
-        if len(weights) + 1 == len(witnesses):
-            init = np.concatenate([weights * (1.0 - 1.0 / len(witnesses)), [1.0 / len(witnesses)]])
+        ended_in = np.bincount(partner, minlength=len(vals))  # rows that ended in each row
+        shared = np.flatnonzero((ended_in >= 2) & (vals > chi_best))
+        for row in [best, *shared[np.argsort(-vals[shared], kind="stable")]]:
+            if not (np.abs(witnesses.conj() @ states[row]) ** 2 >= DUPLICATE_OVERLAP).any():
+                witnesses = np.concatenate([witnesses, states[row][None, :]])
+        n, k = len(witnesses), len(witnesses) - len(weights)
+        init = np.concatenate([weights * (1.0 - k / n), np.full(k, 1.0 / n)])
         witnesses, outs, weights, chi = _fit_ensemble(
             channel, witnesses, init, image_anchor, ba_tol
         )

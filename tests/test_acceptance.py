@@ -16,6 +16,7 @@ from chancap import (
     dominance_constant,
     entanglement_assisted_capacity,
     family_total_weight,
+    holevo_quantity,
     log_derivative_form,
     lower_bound_factor,
     mutual_information_gradient,
@@ -183,6 +184,24 @@ def test_criterion_5_assisted_capacity_iterations():
     assert mean <= 15.0
     print(
         f"\nACCEPTANCE 5 C_E: 200 solves converge in {mean:.2f} iterations on average "
+        f"(at most {max(iterations)})"
+    )
+
+
+def test_criterion_5_holevo_iterations():
+    # C_H adds every ascent maximum that two or more rows ended in above the
+    # lower bound, not only the best row, and closes the gap in about 3.9
+    # outer iterations on average (5.7 with the best row alone); a mean
+    # above 4.5 means the shared maxima have stopped being added
+    iterations = []
+    for index, trial, chan in criterion_5_channels():
+        est = holevo_quantity(chan, tol=1e-7, seed=(7000 + index, trial))
+        assert est.converged, (chan.d_in, chan.d_out, trial, est)
+        iterations.append(est.iterations)
+    mean = float(np.mean(iterations))
+    assert mean <= 4.5
+    print(
+        f"\nACCEPTANCE 5 C_H: 200 solves converge in {mean:.2f} outer iterations on average "
         f"(at most {max(iterations)})"
     )
 

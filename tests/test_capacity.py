@@ -25,6 +25,10 @@ from chancap import (
 from chancap.capacity import (
     GRAD_TOL_RANGE,
     LN2,
+    MIN_START_WEIGHT,
+    SUP_RESTARTS,
+    SWEEP_MAX_ITER,
+    SWEEP_TOL,
     _divergences_and_grads,
     _ensemble_weights,
     _mixture_divergences,
@@ -240,6 +244,22 @@ class TestHolevoQuantity:
             ce = entanglement_assisted_capacity(chan)
             assert -1e-6 <= ce.value_bits <= 2 * math.log2(min(din, dout)) + 1e-6
 
+    def test_covariant_channels_add_only_the_best_row(self):
+        # at the maximally mixed reference no sphere-ascent row of a
+        # depolarizing channel moves or merges, so each outer iteration adds
+        # only the best row; iterations, witnesses and the value are those of
+        # the one-witness-per-iteration solver
+        for d, n, value in ((2, 2, 0.13081203594113716), (3, 3, 0.23104906018664892)):
+            est = holevo_quantity(
+                depolarizing_channel(d, 0.5),
+                tol=SWEEP_TOL,
+                restarts=SUP_RESTARTS,
+                max_iter=SWEEP_MAX_ITER,
+                seed=0,
+            )
+            assert est.converged and est.iterations == n and len(est.witnesses) == n
+            assert est.value_nats == value
+
 
 class TestInnerSolvers:
     def test_max_output_divergence_depolarizing(self):
@@ -266,7 +286,7 @@ class TestInnerSolvers:
         g = seeded_rng(0)
         starts = g.standard_normal((8, 2)) + 1j * g.standard_normal((8, 2))
         grad_tol = math.sqrt(1e-10) / 30.0
-        _, psi = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
+        _, psi, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
         _, grads = _divergences_and_grads(chan, ln_sigma, psi)
         assert np.linalg.norm(_tangent(psi, grads), axis=1).max() <= grad_tol
 
@@ -278,7 +298,7 @@ class TestInnerSolvers:
             g = seeded_rng(52, trial)
             starts = g.standard_normal((16, din)) + 1j * g.standard_normal((16, din))
             psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-            vals, _ = _sphere_ascent(chan, ln_sigma, starts)
+            vals, _, _ = _sphere_ascent(chan, ln_sigma, starts)
             assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi)[0])
         # rows started at a maximizer with grad_tol = 0 never converge: each
         # retires once its line search halves the step below STEP_FLOOR
@@ -289,7 +309,7 @@ class TestInnerSolvers:
         starts = np.repeat(best[None, :], 4, axis=0)
         psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
         start_vals = _divergences_and_grads(chan, ln_sigma, psi)[0]
-        vals, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=0.0)
+        vals, _, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=0.0)
         assert np.all(vals >= start_vals) and np.all(vals - start_vals <= 1e-12)
 
     def test_divergence_gradient_matches_central_differences(self):
@@ -383,7 +403,7 @@ class TestInnerSolvers:
             noise = g.standard_normal((6, din)) + 1j * g.standard_normal((6, din))
             starts = random_pure_state(din, (83, trial)) + 1e-6 * noise
             batches.clear()
-            vals, psi = _sphere_ascent(chan, ln_sigma, starts)
+            vals, psi, _ = _sphere_ascent(chan, ln_sigma, starts)
             assert batches[:2] == [6, 6] and set(batches[2:]) == {1}
             assert np.all(vals == vals[0]) and np.all(psi == psi[0])
 
@@ -404,12 +424,12 @@ class TestInnerSolvers:
         g = seeded_rng(seed, 2)
         starts = g.standard_normal((rows, din)) + 1j * g.standard_normal((rows, din))
         psi0 = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-        vals, psi = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
+        vals, psi, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
         assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi0)[0])
         best = psi[np.argmax(vals)][None, :]
         tangent = _tangent(best, _divergences_and_grads(chan, ln_sigma, best)[1])
         if np.linalg.norm(tangent) > grad_tol:
-            again, _ = _sphere_ascent(chan, ln_sigma, best, grad_tol=grad_tol)
+            again, _, _ = _sphere_ascent(chan, ln_sigma, best, grad_tol=grad_tol)
             assert again[0] - vals.max() <= 1e-12
 
     def test_ensemble_weights_close_the_gap_on_degenerate_alphabets(self):
@@ -437,12 +457,63 @@ class TestInnerSolvers:
                 anchor = chan.apply(np.eye(chan.d_in) / chan.d_in)
                 outs = _batch_outputs(chan, states)
                 uniform = np.full(len(states), 1.0 / len(states))
-                weights, chi = _ensemble_weights(outs, anchor, 1e-11)
+                weights, chi = _ensemble_weights(outs, anchor, 1e-11, uniform)
                 dvals = _mixture_divergences(outs, weights)
                 assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
                 assert chi == float(weights @ dvals)
                 assert chi > float(uniform @ _mixture_divergences(outs, uniform))
                 assert dvals.max() - chi <= 1e-9
+
+    def test_ensemble_weights_step_towards_the_worst_output_when_newton_fails(self):
+        # a warm start met in a C_H solve of a criterion-5 qubit channel (dims
+        # index 0, trial 11) with two near-twin witnesses: all five Newton
+        # shrinks are rejected at a gap of 2.5e-3, where a solve that stopped
+        # there returned the chi and gap below; the Frank-Wolfe steps go on
+        chan = random_channel(2, 2, seed=(6000, 11))
+        states = np.array(
+            [
+                -0.05992046984875978 - 0.7536865289721367j,
+                -0.04658756669189599 + 0.6528366962485829j,
+                0.4363088155118521 - 0.47472358374103113j,
+                0.5968817261206968 - 0.47749800163968675j,
+                0.43626990424398265 - 0.4746620011742408j,
+                0.5969220684515035 - 0.47754434295444215j,
+            ]
+        ).reshape(3, 2)
+        init = np.array([0.35230650403887737, 0.3143601626277894, 0.3333333333333333])
+        stalled_chi, stalled_gap = 0.23680758643660366, 0.0024543654848424024
+        outs = _batch_outputs(chan, states)
+        anchor = chan.apply(np.eye(2) / 2)
+        weights, chi = _ensemble_weights(outs, anchor, 1e-11, init)
+        gap = float(_mixture_divergences(outs, weights).max()) - chi
+        assert chi > stalled_chi and gap < stalled_gap
+        assert gap <= 1e-9
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+        m=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([1e-11, 1e-8, 1e-4]),
+    )
+    def test_property_ensemble_weights_never_lower_chi(self, dims, m, seed, tol):
+        # from any warm start, the returned chi is the exact mixture
+        # divergence at the returned weights and at least the start's
+        din, dout = dims
+        chan = random_channel(din, dout, seed=seed)
+        g = seeded_rng(seed, 1)
+        states = g.standard_normal((m, din)) + 1j * g.standard_normal((m, din))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        outs = _batch_outputs(chan, states)
+        init = g.exponential(size=m) * (g.random(m) < 0.7)
+        if not init.any():
+            init[0] = 1.0
+        start = np.clip(init, MIN_START_WEIGHT, None)
+        start /= start.sum()
+        anchor = chan.apply(np.eye(din) / din)
+        weights, chi = _ensemble_weights(outs, anchor, tol, init)
+        assert chi == float(weights @ _mixture_divergences(outs, weights))
+        assert chi >= float(start @ _mixture_divergences(outs, start))
 
 
 class TestSolverProperties:

@@ -268,12 +268,6 @@ def _divergences_and_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states
     return np.einsum("ri,ri->r", states.conj(), grads).real, grads
 
 
-def _tangent(states: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Gradients projected onto the tangent spaces of the unit sphere at ``states``."""
-    overlap = np.einsum("ri,ri->r", states.conj(), grads)
-    return grads - overlap[:, None] * states
-
-
 def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re<a_i, b_i> for each row of two contiguous complex stacks, from their real views."""
     return np.einsum("ri,ri->r", a.view(float), b.view(float))
@@ -373,21 +367,17 @@ def max_output_divergence(
     return float(vals[best]), psi[best]
 
 
-def _barycenter(outs: np.ndarray, weights: np.ndarray, anchor: np.ndarray | None = None):
-    """Weighted average of the outputs, mixed with ANCHOR_MIX of ``anchor`` if given."""
-    avg = np.einsum("r,rij->ij", weights, outs)
-    if anchor is None:
-        return avg
-    return (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * anchor
-
-
-def _mixture_divergences(outs: np.ndarray, weights: np.ndarray, self_terms=None) -> np.ndarray:
-    """Divergences D_i = D(out_i || barycenter) with floored logs.
+def _mixture_divergences(
+    outs: np.ndarray, weights: np.ndarray, self_terms=None
+) -> tuple[np.ndarray, Eigensystem]:
+    """Divergences D_i = D(out_i || barycenter) with floored logs, and the
+    eigensystem of the barycenter sum_i w_i out_i they come from.
 
     ``weights @ D`` is the ensemble mixture divergence, a valid lower bound
     on the Holevo quantity.
     """
-    return _divergences(outs, log_matrix(_barycenter(outs, weights)), self_terms)
+    eig = clamped_eigh(np.einsum("r,rij->ij", weights, outs))
+    return _divergences(outs, eigensystem_log(eig), self_terms), eig
 
 
 def _move_to_boundary(weights, support, delta, step_max) -> np.ndarray:
@@ -410,10 +400,10 @@ def _weight_newton_step(
     """One Newton step towards D_i = chi on the support of ``weights``.
 
     The output with the largest D_i joins the support if it is outside. The
-    anchored divergences are linearized with the Hessian of -tr(avg ln avg),
-    built from the divided differences of ln over the spectrum of the anchored
-    barycenter, whose eigensystem ``barycenter_eig`` the D_i were computed from,
-    and the equality-constrained system is solved in the least-squares sense.
+    divergences are linearized with the Hessian of -tr(avg ln avg), built
+    from the divided differences of ln over the spectrum of the barycenter,
+    whose eigensystem ``barycenter_eig`` the D_i were computed from, and the
+    equality-constrained system is solved in the least-squares sense.
     A step that would push a weight below zero stops where the first one
     reaches zero, which drops that output from the support.
     """
@@ -433,50 +423,43 @@ def _weight_newton_step(
 
 
 def _ensemble_weights(
-    outs: np.ndarray,
-    floor_state: np.ndarray,
-    tol: float,
-    init: np.ndarray,
-    self_terms: np.ndarray | None = None,
+    outs: np.ndarray, tol: float, init: np.ndarray, self_terms: np.ndarray | None = None
 ):
     """Optimal weights over a fixed output alphabet.
 
     Maximizes the mixture divergence chi (the restricted-alphabet capacity in
     nats) from the weights ``init``, raised to at least MIN_START_WEIGHT,
     until the optimality gap max_i D_i - chi is at most ``tol``, by up to
-    NEWTON_STEPS damped Newton steps on D_i = chi. More than d^2 outputs (d the
+    NEWTON_STEPS damped Newton steps on D_i = chi. Each trial point is
+    evaluated from one eigendecomposition of its barycenter, which gives chi,
+    the D_i, the gap and the next Newton system. More than d^2 outputs (d the
     output dimension) are affinely dependent and make the Newton system
     singular, so such a support is first cut by a Caratheodory step: along a
     null vector z of the stacked [Re vec(out_i); Im vec(out_i); 1] the
     barycenter and the D_i stay fixed and chi is linear with slope
     z @ self_terms, so the weights move uphill until the first one is zero.
-    That point is kept if its exact chi is not lower. A Newton step, halved
-    up to 4 times, is kept if its exact chi is above the start's and it
-    lowers the gap or raises chi. If all five are rejected, a Frank-Wolfe
-    step (1 - t) p + t e_worst towards the output with the largest D_i, along
+    That point is kept if its chi is not lower. A Newton step, halved up to
+    4 times, is kept if its chi is above the start's and it lowers the gap or
+    raises chi. If all five are rejected, a Frank-Wolfe step
+    (1 - t) p + t e_worst towards the output with the largest D_i, along
     which chi rises at the rate of the gap, is halved from t = 1 until Armijo
     holds; the solve stops once t is below STEP_FLOOR. Returns (weights, chi
-    at those weights). ``self_terms`` may cache trace_xlogx(outs).
+    at those weights, the eigensystem of their barycenter). ``self_terms``
+    may cache trace_xlogx(outs).
     """
-    m = outs.shape[0]
     p = np.clip(init, MIN_START_WEIGHT, None)
     p = p / p.sum()
-    if m == 1:
-        return p, 0.0
     if self_terms is None:
         self_terms = trace_xlogx(outs)
 
-    def chi_exact(weights: np.ndarray) -> float:
-        return float(weights @ _mixture_divergences(outs, weights, self_terms))
+    def evaluate(weights: np.ndarray):
+        """chi, the D_i, the barycenter eigensystem and the gap at ``weights``."""
+        dvals, eig = _mixture_divergences(outs, weights, self_terms)
+        chi = float(weights @ dvals)
+        return chi, dvals, eig, float(dvals.max()) - chi
 
-    def divergences(weights: np.ndarray):
-        """Anchored D_i and the eigensystem of the anchored barycenter they come from."""
-        eig = clamped_eigh(_barycenter(outs, weights, floor_state))
-        return _divergences(outs, eigensystem_log(eig), self_terms), eig
-
-    chi_start = chi = chi_exact(p)
-    dvals, eig = divergences(p)
-    gap = dvals.max() - float(p @ dvals)
+    chi, dvals, eig, gap = evaluate(p)
+    chi_start = chi
     for _ in range(NEWTON_STEPS):
         if gap <= tol:
             break
@@ -485,60 +468,53 @@ def _ensemble_weights(
             flat = outs[support].reshape(support.size, -1)
             z = np.linalg.svd(np.vstack([flat.real.T, flat.imag.T, np.ones(support.size)]))[2][-1]
             q = _move_to_boundary(p, support, z if z @ self_terms[support] >= 0.0 else -z, np.inf)
-            chi_q = chi_exact(q)
-            if chi_q >= chi:
-                p, chi, gap = q, chi_q, dvals.max() - float(q @ dvals)
+            trial = evaluate(q)
+            if trial[0] >= chi:
+                p, (chi, dvals, eig, gap) = q, trial
         direction = _weight_newton_step(outs, p, eig, dvals) - p
         for shrink in (1.0, 2.0, 4.0, 8.0, 16.0):
             q = p + direction / shrink
-            chi_q = chi_exact(q)
-            if chi_q <= chi_start:
-                continue
-            dvals_q, eig_q = divergences(q)
-            gap_q = dvals_q.max() - float(q @ dvals_q)
-            if gap_q < gap or chi_q > chi:
-                p, chi, dvals, eig, gap = q, chi_q, dvals_q, eig_q, gap_q
+            trial = evaluate(q)
+            chi_q, _, _, gap_q = trial
+            if chi_q > chi_start and (gap_q < gap or chi_q > chi):
+                p, (chi, dvals, eig, gap) = q, trial
                 break
         else:
             worst, t = int(np.argmax(dvals)), 1.0
             while t >= STEP_FLOOR:
                 q = (1.0 - t) * p
                 q[worst] += t
-                chi_q = chi_exact(q)
-                if chi_q >= chi + ARMIJO * t * gap:
+                trial = evaluate(q)
+                if trial[0] >= chi + ARMIJO * t * gap:
                     break
                 t /= 2.0
             else:
                 break
-            dvals, eig = divergences(q)
-            p, chi, gap = q, chi_q, dvals.max() - float(q @ dvals)
-    return p, chi
+            p, (chi, dvals, eig, gap) = q, trial
+    return p, chi, eig
 
 
 def _fit_ensemble(
-    channel: QuantumChannel,
-    witnesses: np.ndarray,
-    init: np.ndarray,
-    anchor: np.ndarray,
-    ba_tol: float,
+    channel: QuantumChannel, witnesses: np.ndarray, init: np.ndarray, ba_tol: float
 ):
     """Weights and positions of the witness ensemble for the certified lower bound.
 
     The weights over the witnesses' outputs are solved from ``init``. With two
     or more witnesses, each of up to POSITION_SWEEPS sweeps then moves them at
-    these weights along divergence-ascent tangents, line-searched on the
-    mixture divergence so the bound never decreases; if any sweep moved them,
-    the weights are solved once more. Returns (witnesses, outputs, weights, chi).
+    these weights along divergence-ascent tangents against the barycenter,
+    line-searched on the mixture divergence so the bound never decreases; an
+    accepted point's barycenter is the next sweep's reference. If any sweep
+    moved them, the weights are solved once more. Returns (witnesses,
+    outputs, weights, chi).
     """
     outs = pure_outputs(channel, witnesses)
-    weights, chi = _ensemble_weights(outs, anchor, ba_tol, init)
     if len(witnesses) < 2:
-        return witnesses, outs, weights, chi
+        return witnesses, outs, np.ones(1), 0.0
+    weights, chi, eig = _ensemble_weights(outs, ba_tol, init)
     self_terms = None  # set once a sweep moves the witnesses
     for _ in range(POSITION_SWEEPS):
-        ln_avg = log_matrix(_barycenter(outs, weights, anchor))
-        _, grads = _divergences_and_grads(channel, ln_avg, witnesses)
-        tangent = _tangent(witnesses, grads)
+        vals, grads = _divergences_and_grads(channel, eigensystem_log(eig), witnesses)
+        tangent = grads - vals[:, None] * witnesses  # vals is Re<psi, g>: the tangent part of g
         slope = float(weights @ np.linalg.norm(tangent, axis=1) ** 2)
         if slope <= MIN_SLOPE:
             break
@@ -548,15 +524,17 @@ def _fit_ensemble(
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             cand_outs = pure_outputs(channel, cand)
             cand_terms = trace_xlogx(cand_outs)
-            chi_cand = float(weights @ _mixture_divergences(cand_outs, weights, cand_terms))
+            cand_dvals, cand_eig = _mixture_divergences(cand_outs, weights, cand_terms)
+            chi_cand = float(weights @ cand_dvals)
             if chi_cand >= chi + ARMIJO * step * slope:
                 witnesses, outs, chi, self_terms = cand, cand_outs, chi_cand, cand_terms
+                eig = cand_eig
                 break
             step /= 2.0
         else:
             break
     if self_terms is not None:
-        weights, chi_new = _ensemble_weights(outs, anchor, ba_tol, weights, self_terms)
+        weights, chi_new, _ = _ensemble_weights(outs, ba_tol, weights, self_terms)
         chi = max(chi, chi_new)
     return witnesses, outs, weights, chi
 
@@ -573,15 +551,18 @@ def holevo_quantity(
     Alternates the multi-start inner supremum at the current reference state
     with barycenter updates over a witness ensemble whose weights and
     positions are optimized for the certified mixture-divergence lower bound.
-    The value is the inner supremum at the final reference; the gap is that
-    value minus the best lower bound. The inner problem is non-concave, so
-    the supremum is heuristic and the gap is reported honestly. Ascent rows
-    that close in on a higher row merge into it. Each outer iteration adds
-    the best row's state as a witness, and every other final state that two
-    or more rows ended in with a divergence above the best lower bound, highest
-    first, each unless it is within DUPLICATE_OVERLAP of a witness. The new
-    witnesses start at weight 1/n each (n witnesses in all) and the others
-    keep their weights, scaled to fill the rest.
+    The reference is the ensemble's barycenter mixed with ANCHOR_MIX of
+    T(I/d), so that its logarithm is defined. The value is the lowest inner
+    supremum over the references, raised to the best lower bound if it is
+    below it; the gap is that value minus the best lower bound. The inner
+    problem is non-concave, so the supremum is heuristic and the gap is
+    reported honestly. Ascent rows that close in on a higher row merge into
+    it. Each outer iteration adds the best row's state as a witness, and
+    every other final state that two or more rows ended in with a divergence
+    above the best lower bound, highest first, each unless it is within
+    DUPLICATE_OVERLAP of a witness. The new witnesses start at weight 1/n
+    each (n witnesses in all) and the others keep their weights, scaled to
+    fill the rest.
     """
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
@@ -614,11 +595,9 @@ def holevo_quantity(
                 witnesses = np.concatenate([witnesses, states[row][None, :]])
         n, k = len(witnesses), len(witnesses) - len(weights)
         init = np.concatenate([weights * (1.0 - k / n), np.full(k, 1.0 / n)])
-        witnesses, outs, weights, chi = _fit_ensemble(
-            channel, witnesses, init, image_anchor, ba_tol
-        )
+        witnesses, outs, weights, chi = _fit_ensemble(channel, witnesses, init, ba_tol)
         chi_best = max(chi_best, chi)
-        gap = value_best - chi_best
+        gap = max(value_best - chi_best, 0.0)  # the reported value is at least chi_best
         if gap <= tol:
             converged = True
             break
@@ -626,9 +605,10 @@ def holevo_quantity(
         if not keep.all():
             witnesses, outs = witnesses[keep], outs[keep]
             weights = weights[keep] / weights[keep].sum()
-        sigma = _barycenter(outs, weights, image_anchor)
+        avg = np.einsum("r,rij->ij", weights, outs)
+        sigma = (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * image_anchor  # so ln sigma is defined
     return CapacityEstimate(
-        value_nats=max(0.0, value_best),
+        value_nats=max(0.0, value_best, chi_best),
         gap_bound=gap,
         iterations=iterations,
         converged=converged,

@@ -149,6 +149,11 @@ def random_channel(d_in: int, d_out: int, kraus_count: int | None = None, seed=0
         kraus_count = d_in * d_out
     if kraus_count < 1:
         raise ValueError("kraus_count must be >= 1")
+    if kraus_count * d_out < d_in:
+        raise ValueError(
+            "a random channel needs kraus * dout >= din for its Stinespring isometry, "
+            f"got kraus={kraus_count}, din={d_in}, dout={d_out}"
+        )
     g = seeded_rng(seed)
     a = g.standard_normal((d_out * kraus_count, d_in)) + 1j * g.standard_normal(
         (d_out * kraus_count, d_in)

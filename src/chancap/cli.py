@@ -202,10 +202,19 @@ def _parse_state(spec: str, d: int) -> np.ndarray:
     if spec == "max-entangled":
         return linalg.maximally_entangled_state(d)
     if spec.startswith("random:"):
-        return linalg.random_pure_state(d * d, int(spec.split(":", 1)[1]))
+        seed = spec.split(":", 1)[1]
+        if not (seed.isdigit() and seed.isascii()):
+            raise ValueError(f"--state random:<seed> takes an integer seed from 0, got {seed!r}")
+        return linalg.random_pure_state(d * d, int(seed))
     try:
-        arr = np.asarray(json.loads(spec), dtype=float)
-    except TypeError as exc:
+        value = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"--state must be max-entangled, random:<seed> or a JSON array ({exc.msg})"
+        ) from None
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"--state must be a JSON array of numbers ({exc})") from exc
     if arr.ndim == 2 and arr.shape[1] == 2:  # [re, im] pairs
         return arr[:, 0] + 1j * arr[:, 1]

@@ -197,6 +197,7 @@ def test_criterion_5_holevo_iterations():
     for index, trial, chan in criterion_5_channels():
         est = holevo_quantity(chan, tol=1e-7, seed=(7000 + index, trial))
         assert est.converged, (chan.d_in, chan.d_out, trial, est)
+        assert est.gap_bound >= 0.0, (chan.d_in, chan.d_out, trial, est.gap_bound)
         iterations.append(est.iterations)
     mean = float(np.mean(iterations))
     assert mean <= 4.5

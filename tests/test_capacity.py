@@ -33,7 +33,6 @@ from chancap.capacity import (
     _ensemble_weights,
     _mixture_divergences,
     _sphere_ascent,
-    _tangent,
 )
 from chancap.channels import pure_outputs as _batch_outputs
 from chancap.entropy import mutual_information as _mutual_information_nats
@@ -287,8 +286,8 @@ class TestInnerSolvers:
         starts = g.standard_normal((8, 2)) + 1j * g.standard_normal((8, 2))
         grad_tol = math.sqrt(1e-10) / 30.0
         _, psi, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
-        _, grads = _divergences_and_grads(chan, ln_sigma, psi)
-        assert np.linalg.norm(_tangent(psi, grads), axis=1).max() <= grad_tol
+        vals, grads = _divergences_and_grads(chan, ln_sigma, psi)
+        assert np.linalg.norm(grads - vals[:, None] * psi, axis=1).max() <= grad_tol
 
     def test_sphere_ascent_never_lowers_a_row(self):
         for trial in range(6):
@@ -427,7 +426,8 @@ class TestInnerSolvers:
         vals, psi, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
         assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi0)[0])
         best = psi[np.argmax(vals)][None, :]
-        tangent = _tangent(best, _divergences_and_grads(chan, ln_sigma, best)[1])
+        best_vals, grads = _divergences_and_grads(chan, ln_sigma, best)
+        tangent = grads - best_vals[:, None] * best
         if np.linalg.norm(tangent) > grad_tol:
             again, _, _ = _sphere_ascent(chan, ln_sigma, best, grad_tol=grad_tol)
             assert again[0] - vals.max() <= 1e-12
@@ -436,7 +436,22 @@ class TestInnerSolvers:
         # five and nine qubit outputs, and twelve qutrit outputs (more than
         # d_out^2 = 4 and 9), leave chi linear along barycenter-preserving
         # directions; two witnesses with overlap 1 - 1e-9 make the optimality
-        # system nearly singular
+        # system nearly singular. Pure outputs of an isometry, of the identity
+        # and of a Kraus-rank-2 channel leave a kernel in the barycenter, where
+        # its logarithm is floored
+        def solve(chan, states):
+            outs = _batch_outputs(chan, states)
+            uniform = np.full(len(states), 1.0 / len(states))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                weights, chi, _ = _ensemble_weights(outs, 1e-11, uniform)
+                dvals, _ = _mixture_divergences(outs, weights)
+                chi_uniform = float(uniform @ _mixture_divergences(outs, uniform)[0])
+            assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
+            assert chi == float(weights @ dvals)
+            assert dvals.max() - chi <= 1e-9
+            return chi, chi_uniform
+
         for trial in range(6):
             qubit = random_channel(2, 2, seed=(60, trial))
             qutrit = random_channel(3, 3, seed=(62, trial))
@@ -454,15 +469,21 @@ class TestInnerSolvers:
                 (qubit, wide),
                 (qutrit, qutrit_wide),
             ):
-                anchor = chan.apply(np.eye(chan.d_in) / chan.d_in)
-                outs = _batch_outputs(chan, states)
-                uniform = np.full(len(states), 1.0 / len(states))
-                weights, chi = _ensemble_weights(outs, anchor, 1e-11, uniform)
-                dvals = _mixture_divergences(outs, weights)
-                assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
-                assert chi == float(weights @ dvals)
-                assert chi > float(uniform @ _mixture_divergences(outs, uniform))
-                assert dvals.max() - chi <= 1e-9
+                chi, chi_uniform = solve(chan, states)
+                assert chi > chi_uniform
+            for k, chan in enumerate(
+                (
+                    random_channel(2, 4, 1, seed=(64, trial)),
+                    identity_channel(3),
+                    random_channel(3, 3, 2, seed=(65, trial)),
+                )
+            ):
+                for m in (2, 3, 5):
+                    states = np.array(
+                        [random_pure_state(chan.d_in, (66, trial, k, i)) for i in range(m)]
+                    )
+                    chi, chi_uniform = solve(chan, states)
+                    assert chi >= chi_uniform  # two pure outputs are optimal at equal weights
 
     def test_ensemble_weights_step_towards_the_worst_output_when_newton_fails(self):
         # a warm start met in a C_H solve of a criterion-5 qubit channel (dims
@@ -483,9 +504,8 @@ class TestInnerSolvers:
         init = np.array([0.35230650403887737, 0.3143601626277894, 0.3333333333333333])
         stalled_chi, stalled_gap = 0.23680758643660366, 0.0024543654848424024
         outs = _batch_outputs(chan, states)
-        anchor = chan.apply(np.eye(2) / 2)
-        weights, chi = _ensemble_weights(outs, anchor, 1e-11, init)
-        gap = float(_mixture_divergences(outs, weights).max()) - chi
+        weights, chi, _ = _ensemble_weights(outs, 1e-11, init)
+        gap = float(_mixture_divergences(outs, weights)[0].max()) - chi
         assert chi > stalled_chi and gap < stalled_gap
         assert gap <= 1e-9
 
@@ -510,10 +530,9 @@ class TestInnerSolvers:
             init[0] = 1.0
         start = np.clip(init, MIN_START_WEIGHT, None)
         start /= start.sum()
-        anchor = chan.apply(np.eye(din) / din)
-        weights, chi = _ensemble_weights(outs, anchor, tol, init)
-        assert chi == float(weights @ _mixture_divergences(outs, weights))
-        assert chi >= float(start @ _mixture_divergences(outs, start))
+        weights, chi, _ = _ensemble_weights(outs, tol, init)
+        assert chi == float(weights @ _mixture_divergences(outs, weights)[0])
+        assert chi >= float(start @ _mixture_divergences(outs, start)[0])
 
 
 class TestSolverProperties:

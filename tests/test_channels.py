@@ -161,6 +161,10 @@ class TestRandomChannel:
         k = chan.kraus[0]
         np.testing.assert_allclose(k.conj().T @ k, np.eye(3), atol=1e-10)
         np.testing.assert_allclose(k @ k.conj().T, np.eye(3), atol=1e-10)
+        # with dout < din one Kraus operator cannot be an isometry; the error
+        # names the three numbers
+        with pytest.raises(ValueError, match=r"kraus=1, din=3, dout=2"):
+            random_channel(3, 2, kraus_count=1)
 
     def test_trace_preserving_many_samples(self):
         worst = 0.0

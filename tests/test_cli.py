@@ -161,6 +161,12 @@ class TestChainCommand:
             assert res.returncode == 1
             assert res.stderr.startswith("error: --state must be a JSON array of numbers")
             assert "Traceback" not in res.stderr
+        # a bad random seed and a spec that is no JSON also name the flag
+        for spec in ("random:abc", "random:-1", "nope"):
+            res = run_cli("chain", "--named", "identity:d=2", "--state", spec)
+            assert res.returncode == 1
+            assert res.stderr.startswith("error: --state ")
+            assert "Traceback" not in res.stderr
 
 
 class TestSweepCommand:
@@ -263,6 +269,7 @@ class TestConfigValidation:
             ("random:din=0", "din must be"),
             ("random:din=2,dout=0", "dout must be"),
             ("random:seed=-1", "seed must be"),
+            ("random:din=3,dout=2,kraus=1", "kraus=1, din=3, dout=2"),
         ):
             res = run_cli("capacity", "--named", spec)
             assert res.returncode == 1

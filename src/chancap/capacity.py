@@ -8,7 +8,8 @@ The Holevo quantity is a minimax problem solved by alternating a multi-start
 sphere ascent (inner supremum; Armijo steps started from Barzilai-Borwein
 step lengths) with barycenter updates of the reference state over an
 accumulated witness ensemble whose positions and weights are improved
-monotonically in the certified lower bound. The weights come from damped
+monotonically in the certified lower bound; the position sweeps also start
+their line searches from Barzilai-Borwein steps. The weights come from damped
 Newton steps on the optimality conditions over a Caratheodory-reduced support,
 with a Frank-Wolfe step where Newton fails.
 
@@ -50,14 +51,14 @@ ANCHOR_MIX = 1e-12  # weight of the anchor state mixed in so that a logarithm is
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
 ARMIJO = 1e-4  # sufficient-increase constant of every line search
 STEP_FLOOR = 1e-8  # smallest step of every line search; below it the search gives up
-MIN_BB_STEP = 1e-3  # sphere-ascent Barzilai-Borwein steps are raised to at least this
-MAX_MOVE = 1e3  # bound on a sphere-ascent move, step * |tangent|: flat objectives step long
+MIN_BB_STEP = 1e-3  # Barzilai-Borwein steps (sphere ascent, witness sweeps) are raised to this
+MAX_MOVE = 1e3  # bound on an ascent move, step * |tangent|: flat objectives step long
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
 GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
 WEIGHT_TOL_CAP = 1e-11  # cap on the weight solve's gap tolerance 0.02 tol
 MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
-POSITION_SWEEPS = 3  # witness-position ascent sweeps per outer iteration of the Holevo solver
+POSITION_SWEEPS = 6  # witness-position ascent sweeps per outer iteration of the Holevo solver
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope
 DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
 MERGE_OVERLAP = 1.0 - 1e-3  # a sphere-ascent row this close to a higher row merges into it
@@ -422,6 +423,50 @@ def _weight_newton_step(
     return _move_to_boundary(weights, support, delta, 1.0)
 
 
+def _frank_wolfe_step(
+    evaluate, p: np.ndarray, dvals: np.ndarray, chi: float, gap: float, tol: float
+):
+    """A weight step (1 - t) p + t e_worst towards the output with the largest
+    D_i, along which chi rises at the rate of the gap, as (weights, their
+    ``evaluate``), or None where no step is found.
+
+    t is halved from 1 until Armijo holds. Below STEP_FLOOR, chi moves by
+    O(gap^2), under rounding, but its slope D(q_t) @ (e_worst - p) along the
+    step is O(gap): t is then bisected on that slope's sign in (0, hi), hi
+    the smallest t tried where chi does not rise, until a gap is at most
+    ``tol`` or rounding pins t. The point of lowest gap met is taken if its
+    gap is below ``gap``; its chi is the line's maximum up to rounding.
+    """
+    worst = int(np.argmax(dvals))
+    toward = -p
+    toward[worst] += 1.0  # e_worst - p
+
+    def trial_at(t: float):
+        q = (1.0 - t) * p
+        q[worst] += t
+        return q, evaluate(q)
+
+    t = hi = 1.0
+    while t >= STEP_FLOOR:
+        q, trial = trial_at(t)
+        chi_q, dvals_q, _, _ = trial
+        if chi_q >= chi + ARMIJO * t * gap:
+            return q, trial
+        if dvals_q @ toward <= 0.0:
+            hi = t
+        t /= 2.0
+    lo, found = 0.0, None
+    while lo < (t := (lo + hi) / 2.0) < hi:
+        q, trial = trial_at(t)
+        _, dvals_q, _, gap_q = trial
+        if gap_q < gap:
+            found, gap = (q, trial), gap_q
+        if gap_q <= tol:
+            break
+        lo, hi = (t, hi) if dvals_q @ toward > 0.0 else (lo, t)
+    return found
+
+
 def _ensemble_weights(
     outs: np.ndarray, tol: float, init: np.ndarray, self_terms: np.ndarray | None = None
 ):
@@ -440,12 +485,11 @@ def _ensemble_weights(
     z @ self_terms, so the weights move uphill until the first one is zero.
     That point is kept if its chi is not lower. A Newton step, halved up to
     4 times, is kept if its chi is above the start's and it lowers the gap or
-    raises chi. If all five are rejected, a Frank-Wolfe step
-    (1 - t) p + t e_worst towards the output with the largest D_i, along
-    which chi rises at the rate of the gap, is halved from t = 1 until Armijo
-    holds; the solve stops once t is below STEP_FLOOR. Returns (weights, chi
-    at those weights, the eigensystem of their barycenter). ``self_terms``
-    may cache trace_xlogx(outs).
+    raises chi. If all five are rejected, a Frank-Wolfe step towards the
+    output with the largest D_i is taken (``_frank_wolfe_step``); the solve
+    stops where it finds none. Returns (weights, chi at those weights, the
+    eigensystem of their barycenter). ``self_terms`` may cache
+    trace_xlogx(outs).
     """
     p = np.clip(init, MIN_START_WEIGHT, None)
     p = p / p.sum()
@@ -480,17 +524,10 @@ def _ensemble_weights(
                 p, (chi, dvals, eig, gap) = q, trial
                 break
         else:
-            worst, t = int(np.argmax(dvals)), 1.0
-            while t >= STEP_FLOOR:
-                q = (1.0 - t) * p
-                q[worst] += t
-                trial = evaluate(q)
-                if trial[0] >= chi + ARMIJO * t * gap:
-                    break
-                t /= 2.0
-            else:
+            step = _frank_wolfe_step(evaluate, p, dvals, chi, gap, tol)
+            if step is None:
                 break
-            p, (chi, dvals, eig, gap) = q, trial
+            p, (chi, dvals, eig, gap) = step
     return p, chi, eig
 
 
@@ -503,15 +540,21 @@ def _fit_ensemble(
     or more witnesses, each of up to POSITION_SWEEPS sweeps then moves them at
     these weights along divergence-ascent tangents against the barycenter,
     line-searched on the mixture divergence so the bound never decreases; an
-    accepted point's barycenter is the next sweep's reference. If any sweep
-    moved them, the weights are solved once more. Returns (witnesses,
-    outputs, weights, chi).
+    accepted point's barycenter is the next sweep's reference. The first
+    sweep's search starts from step 1, each later one from the
+    Barzilai-Borwein step Re<s,y>/<y,y> over the whole witness stack (s the
+    last accepted move, y the drop in tangent), raised to MIN_BB_STEP, or
+    from 1 where Re<s,y> <= 0; either start is cut so that the move,
+    step * |tangent|, is at most MAX_MOVE. If any sweep moved the witnesses,
+    the weights are solved once more. Returns (witnesses, outputs, weights,
+    chi).
     """
     outs = pure_outputs(channel, witnesses)
     if len(witnesses) < 2:
         return witnesses, outs, np.ones(1), 0.0
     weights, chi, eig = _ensemble_weights(outs, ba_tol, init)
     self_terms = None  # set once a sweep moves the witnesses
+    last = None  # (witnesses, tangent) before the last accepted move
     for _ in range(POSITION_SWEEPS):
         vals, grads = _divergences_and_grads(channel, eigensystem_log(eig), witnesses)
         tangent = grads - vals[:, None] * witnesses  # vals is Re<psi, g>: the tangent part of g
@@ -519,6 +562,13 @@ def _fit_ensemble(
         if slope <= MIN_SLOPE:
             break
         step = 1.0
+        if last is not None:
+            s, y = witnesses - last[0], last[1] - tangent
+            sy = np.vdot(s, y).real
+            if sy > 0.0:
+                step = max(sy / np.vdot(y, y).real, MIN_BB_STEP)
+        step = min(step, MAX_MOVE / np.linalg.norm(tangent))
+        last = witnesses, tangent
         while step >= STEP_FLOOR:
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)

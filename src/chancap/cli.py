@@ -119,6 +119,8 @@ def cmd_capacity(args) -> int:
         "ch_iterations": ch.iterations,
         "ce_converged": ce.converged,
         "ch_converged": ch.converged,
+        "ce_stop_reason": ce.stop_reason,
+        "ch_stop_reason": ch.stop_reason,
     }
     if args.format == "json":
         _emit(json.dumps(record, indent=2) + "\n", args.out)

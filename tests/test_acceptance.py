@@ -190,9 +190,10 @@ def test_criterion_5_assisted_capacity_iterations():
 
 def test_criterion_5_holevo_iterations():
     # C_H adds every ascent maximum that two or more rows ended in above the
-    # lower bound, not only the best row, and closes the gap in about 3.9
-    # outer iterations on average (5.7 with the best row alone); a mean
-    # above 4.5 means the shared maxima have stopped being added
+    # lower bound, and its position sweeps start from Barzilai-Borwein steps:
+    # the gap closes in about 2.9 outer iterations on average (3.9 with plain
+    # sweeps from step 1, 5.7 with the best row alone as well); a mean above
+    # 3.3 means the sweeps have stopped taking their long steps
     iterations = []
     for index, trial, chan in criterion_5_channels():
         est = holevo_quantity(chan, tol=1e-7, seed=(7000 + index, trial))
@@ -200,7 +201,7 @@ def test_criterion_5_holevo_iterations():
         assert est.gap_bound >= 0.0, (chan.d_in, chan.d_out, trial, est.gap_bound)
         iterations.append(est.iterations)
     mean = float(np.mean(iterations))
-    assert mean <= 4.5
+    assert mean <= 3.3
     print(
         f"\nACCEPTANCE 5 C_H: 200 solves converge in {mean:.2f} outer iterations on average "
         f"(at most {max(iterations)})"

@@ -31,6 +31,7 @@ from chancap.capacity import (
     SWEEP_TOL,
     _divergences_and_grads,
     _ensemble_weights,
+    _fit_ensemble,
     _mixture_divergences,
     _sphere_ascent,
 )
@@ -258,6 +259,27 @@ class TestHolevoQuantity:
             )
             assert est.converged and est.iterations == n and len(est.witnesses) == n
             assert est.value_nats == value
+
+    def test_sweeps_at_a_wrong_weight_solve_do_not_cycle(self):
+        # with 3 or 4 Barzilai-Borwein-started position sweeps, the first
+        # six-witness weight solve of this criterion-5 channel ends with a gap
+        # of 7.1e-3 or 1.2e-2, and sweeps at those weights send the solve into
+        # a period-2 cycle: 129 outer iterations, or none converged in 200
+        chan = random_channel(3, 2, seed=(6002, 29))
+        est = holevo_quantity(chan, tol=1e-7, seed=(7002, 29), max_iter=200)
+        assert est.converged and est.iterations <= 12
+
+    def test_tight_tolerance_solves_do_not_stall_in_the_weight_solve(self):
+        # at tol 1e-10 a two-witness weight solve stopped with its gap open at
+        # rounding level (3.3e-10 and 5.7e-9 against a weight tolerance of
+        # 2e-12), and each outer iteration then repeated itself unchanged
+        for dims, channel_seed, solver_seed in (
+            ((2, 2), (6000, 2), (11000, 2)),
+            ((2, 3), (6001, 16), (7001, 16)),
+        ):
+            chan = random_channel(*dims, seed=channel_seed)
+            est = holevo_quantity(chan, tol=1e-10, seed=solver_seed, max_iter=200)
+            assert est.converged, (dims, channel_seed, est.iterations, est.gap_bound)
 
 
 class TestInnerSolvers:
@@ -509,6 +531,28 @@ class TestInnerSolvers:
         assert chi > stalled_chi and gap < stalled_gap
         assert gap <= 1e-9
 
+    def test_ensemble_weights_bisect_the_frank_wolfe_step_at_rounding_level(self):
+        # the warm start of a stalled two-witness solve (criterion-5 channel
+        # (2, 3), trial 16, at tol 1e-10): Newton is rejected, and Armijo fails
+        # down to STEP_FLOOR because chi moves by O(gap^2) there, below
+        # rounding. A solve that stopped there kept a gap of 5.7e-9; the
+        # bisection on the sign of chi's slope along the step closes it
+        chan = random_channel(2, 3, seed=(6001, 16))
+        states = np.array(
+            [
+                -0.41508159046900095 + 0.18826222544045113j,
+                0.328856178019843 - 0.8271143946904291j,
+                0.2639609849507815 + 0.8444823498140248j,
+                0.44957728743076447 + 0.12269646247057127j,
+            ]
+        ).reshape(2, 2)
+        init = np.array([0.467327184580026, 0.532672815419974])
+        outs = _batch_outputs(chan, states)
+        weights, chi, _ = _ensemble_weights(outs, 2e-12, init)
+        dvals = _mixture_divergences(outs, weights)[0]
+        assert chi == float(weights @ dvals)
+        assert dvals.max() - chi <= 2e-12
+
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
         dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
@@ -533,6 +577,28 @@ class TestInnerSolvers:
         weights, chi, _ = _ensemble_weights(outs, tol, init)
         assert chi == float(weights @ _mixture_divergences(outs, weights)[0])
         assert chi >= float(start @ _mixture_divergences(outs, start)[0])
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+        m=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        ba_tol=st.sampled_from([1e-11, 2e-9, 1e-4]),
+    )
+    def test_property_fit_never_lowers_the_first_weight_solve(self, dims, m, seed, ba_tol):
+        # the position sweeps, started from Barzilai-Borwein steps, and the
+        # second weight solve never end below the chi of the first solve
+        din, dout = dims
+        chan = random_channel(din, dout, seed=seed)
+        g = seeded_rng(seed, 1)
+        states = g.standard_normal((m, din)) + 1j * g.standard_normal((m, din))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        init = g.exponential(size=m)
+        init /= init.sum()
+        witnesses, outs, weights, chi = _fit_ensemble(chan, states, init, ba_tol)
+        assert np.allclose(np.linalg.norm(witnesses, axis=1), 1.0)
+        assert np.array_equal(outs, _batch_outputs(chan, witnesses))
+        assert chi >= _ensemble_weights(_batch_outputs(chan, states), ba_tol, init)[1]
 
 
 class TestSolverProperties:

@@ -34,6 +34,7 @@ class TestCapacityCommand:
         assert abs(record["ce_bits"] - 2.0) < 1e-4
         assert abs(record["ch_bits"] - 1.0) < 1e-4
         assert record["ce_converged"] and record["ch_converged"]
+        assert record["ce_stop_reason"] == record["ch_stop_reason"] == "gap"
 
     def test_fully_depolarizing_named(self):
         res = run_cli("capacity", "--named", "depolarizing:d=2,p=1", "--format", "json")
@@ -84,6 +85,16 @@ class TestCapacityCommand:
         assert res.returncode == 2
         record = json.loads(res.stdout)
         assert not (record["ce_converged"] and record["ch_converged"])
+        assert record["ch_stop_reason"] == "max_iter"  # one outer iteration cannot close the gap
+        for side in ("ce", "ch"):
+            assert (record[f"{side}_stop_reason"] == "gap") == record[f"{side}_converged"]
+
+    def test_csv_reports_why_each_solver_stopped(self):
+        res = run_cli("capacity", "--named", "depolarizing:d=2,p=0.5")
+        assert res.returncode == 0
+        header, row = res.stdout.strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["ce_stop_reason"] == record["ch_stop_reason"] == "gap"
 
 
 class TestVerifyRatioCommand:

@@ -72,6 +72,13 @@ class CapacityEstimate:
     ``stop_reason`` says why the solver stopped: ``"gap"`` (the gap closed to
     the tolerance), ``"step_floor"`` (a line search gave up below STEP_FLOOR;
     C_E only) or ``"max_iter"`` (out of iterations with the gap still open).
+
+    ``lower_nats`` and ``upper_nats`` bound the capacity from each side. For
+    C_E they are the value, attained at ``argmax_state``, and the value plus
+    the concave gap certificate: both sound. For C_H the lower end is the
+    mixture divergence of the ensemble (``witnesses``, ``weights``), sound,
+    and the upper end is the best inner supremum found, heuristic, since
+    that inner problem is not concave.
     """
 
     value_nats: float
@@ -79,8 +86,11 @@ class CapacityEstimate:
     iterations: int
     converged: bool
     stop_reason: str
+    lower_nats: float
+    upper_nats: float
     argmax_state: np.ndarray | None = None
     witnesses: list[np.ndarray] | None = None
+    weights: np.ndarray | None = None
     barycenter: np.ndarray | None = None
     value_bits: float = field(init=False)
 
@@ -235,12 +245,15 @@ def entanglement_assisted_capacity(
         gap = _gradient_and_gap(channel, point)[1]
         if gap <= tol:
             stop_reason = "gap"
+    value = max(0.0, point.value)
     return CapacityEstimate(
-        value_nats=max(0.0, point.value),
+        value_nats=value,
         gap_bound=gap,
         iterations=iterations,
         converged=stop_reason == "gap",
         stop_reason=stop_reason,
+        lower_nats=value,
+        upper_nats=value + gap,
         argmax_state=point.rho,
     )
 
@@ -607,23 +620,26 @@ def holevo_quantity(
     below it; the gap is that value minus the best lower bound. The inner
     problem is non-concave, so the supremum is heuristic and the gap is
     reported honestly. Ascent rows that close in on a higher row merge into
-    it. Each outer iteration adds the best row's state as a witness, and
-    every other final state that two or more rows ended in with a divergence
-    above the best lower bound, highest first, each unless it is within
-    DUPLICATE_OVERLAP of a witness. The new witnesses start at weight 1/n
-    each (n witnesses in all) and the others keep their weights, scaled to
-    fill the rest.
+    it. An outer iteration runs the inner ascent and tests the gap; if it
+    is still open, it adds witnesses, fits the ensemble and tests the gap
+    again. It adds the best row's state as a witness, and every other final
+    state that two or more rows ended in with a divergence above the best
+    lower bound, highest first, each unless it is within DUPLICATE_OVERLAP
+    of a witness. The new witnesses start at weight 1/n each (n witnesses in
+    all) and the others keep their weights, scaled to fill the rest. The
+    returned ``witnesses`` and ``weights`` are those of the fit that set the
+    best lower bound, not of the last fit (empty if the gap closed before
+    any fit).
     """
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
     sigma = image_anchor
     witnesses = np.zeros((0, d), dtype=complex)
     weights = np.zeros(0)
+    certificate = witnesses, weights  # the ensemble of the fit that set chi_best
     chi_best = 0.0
     value_best = float("inf")
     sigma_best = sigma
-    gap = float("inf")
-    converged = False
     iterations = 0
     ba_tol = min(WEIGHT_TOL_CAP, 0.02 * tol)
     grad_tol = min(GRAD_TOL_RANGE[1], max(GRAD_TOL_RANGE[0], np.sqrt(tol) / 30.0))
@@ -638,6 +654,8 @@ def holevo_quantity(
         if value < value_best:  # keep the best reference seen, not the last
             value_best = value
             sigma_best = sigma
+        if value_best - chi_best <= tol:  # closed by the ascent: no fit needed
+            break
         ended_in = np.bincount(partner, minlength=len(vals))  # rows that ended in each row
         shared = np.flatnonzero((ended_in >= 2) & (vals > chi_best))
         for row in [best, *shared[np.argsort(-vals[shared], kind="stable")]]:
@@ -646,10 +664,9 @@ def holevo_quantity(
         n, k = len(witnesses), len(witnesses) - len(weights)
         init = np.concatenate([weights * (1.0 - k / n), np.full(k, 1.0 / n)])
         witnesses, outs, weights, chi = _fit_ensemble(channel, witnesses, init, ba_tol)
-        chi_best = max(chi_best, chi)
-        gap = max(value_best - chi_best, 0.0)  # the reported value is at least chi_best
-        if gap <= tol:
-            converged = True
+        if chi >= chi_best:
+            chi_best, certificate = chi, (witnesses, weights)
+        if value_best - chi_best <= tol:  # closed by the fit
             break
         keep = weights > WEIGHT_FLOOR
         if not keep.all():
@@ -657,13 +674,19 @@ def holevo_quantity(
             weights = weights[keep] / weights[keep].sum()
         avg = np.einsum("r,rij->ij", weights, outs)
         sigma = (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * image_anchor  # so ln sigma is defined
+    gap = max(value_best - chi_best, 0.0)  # the reported value is at least chi_best
+    converged = gap <= tol
+    value = max(0.0, value_best, chi_best)
     return CapacityEstimate(
-        value_nats=max(0.0, value_best, chi_best),
+        value_nats=value,
         gap_bound=gap,
         iterations=iterations,
         converged=converged,
         stop_reason="gap" if converged else "max_iter",
-        witnesses=list(witnesses),
+        lower_nats=chi_best,
+        upper_nats=value,
+        witnesses=list(certificate[0]),
+        weights=certificate[1],
         barycenter=sigma_best,
     )
 

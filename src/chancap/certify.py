@@ -25,6 +25,7 @@ from .capacity import (
     DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
+    LN2,
     SUP_RESTARTS,
     entanglement_assisted_capacity,
     holevo_quantity,
@@ -288,13 +289,16 @@ def verify_ratio_bound(
 ) -> RatioBoundCheck:
     """Solve both capacities and report the prefactor slack for one channel.
 
-    slack = prefactor(d_in) * C_H - C_E in bits; the bound holds when slack
-    is at least -2 times the solver tolerance converted to bits.
+    slack = prefactor(d_in) * C_H,lower - C_E,upper in bits, from the
+    certified lower end of C_H (the witness ensemble's mixture divergence)
+    and the certified upper end of C_E (its value plus its gap); the bound
+    holds when slack is at least -2 times the solver tolerance converted to
+    bits. ``ce_bits`` and ``ch_bits`` are the solvers' values.
     """
     ce = entanglement_assisted_capacity(channel, tol=tol, max_iter=max_iter)
     ch = holevo_quantity(channel, tol=tol, restarts=restarts, max_iter=max_iter, seed=seed)
     pre = capacity_ratio_prefactor(channel.d_in)
-    slack = pre * ch.value_bits - ce.value_bits
+    slack = (pre * ch.lower_nats - ce.upper_nats) / LN2
     return RatioBoundCheck(
         ce_bits=ce.value_bits,
         ch_bits=ch.value_bits,

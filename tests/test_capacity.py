@@ -87,6 +87,7 @@ class TestAssistedCapacity:
         est = entanglement_assisted_capacity(random_channel(2, 3, seed=1))
         assert est.value_bits == est.value_nats / LN2
         assert est.converged and est.gap_bound <= 1e-7
+        assert (est.lower_nats, est.upper_nats) == (est.value_nats, est.value_nats + est.gap_bound)
         assert -1e-6 <= est.value_bits <= 2 * math.log2(2) + 1e-6
         np.testing.assert_allclose(np.trace(est.argmax_state), 1.0, atol=1e-10)
 
@@ -259,6 +260,44 @@ class TestHolevoQuantity:
             )
             assert est.converged and est.iterations == n and len(est.witnesses) == n
             assert est.value_nats == value
+
+    def test_gap_is_tested_before_and_after_each_fit(self, monkeypatch):
+        fits = []
+        fit = capacity_module._fit_ensemble
+
+        def counted(*args):
+            fits.append(None)
+            return fit(*args)
+
+        monkeypatch.setattr(capacity_module, "_fit_ensemble", counted)
+        # this criterion-5 solve closes its gap right after its last inner
+        # ascent, so its last outer iteration runs no fit
+        est = holevo_quantity(random_channel(2, 2, seed=(6000, 0)), tol=1e-7, seed=(7000, 0))
+        assert est.converged and est.iterations >= 2 and len(fits) == est.iterations - 1
+        # at the maximally mixed reference of a depolarizing channel every
+        # input is optimal, so only a fit raising the lower bound closes the gap
+        fits.clear()
+        est = holevo_quantity(depolarizing_channel(2, 0.5), tol=SWEEP_TOL, seed=0)
+        assert est.converged and len(fits) == est.iterations == 2
+
+    def test_returned_ensemble_certifies_the_lower_bound(self):
+        # chi rebuilt from the returned witnesses and weights is the reported
+        # lower end value - gap. With the gap tested only after each fit, the
+        # last fit of the first two solves ends 7.7e-5 and 3.8e-5 nats below
+        # it; the third is cut after a fit that ends 4.8e-5 below an earlier one
+        for index, trial, max_iter in ((2, 48, 100), (3, 39, 100), (1, 5, 3), (1, 5, 100),
+                                       (2, 16, 100), (0, 7, 100)):
+            dims = [(2, 2), (2, 3), (3, 2), (3, 3)][index]
+            chan = random_channel(*dims, seed=(6000 + index, trial))
+            est = holevo_quantity(chan, tol=1e-7, seed=(7000 + index, trial), max_iter=max_iter)
+            assert est.converged == (max_iter == 100)
+            outs = [chan.apply(np.outer(w, w.conj())) for w in est.witnesses]
+            avg = sum(p * out for p, out in zip(est.weights, outs))
+            chi = sum(p * relative_entropy(out, avg).value for p, out in zip(est.weights, outs) if p)
+            assert abs(est.weights.sum() - 1.0) <= 1e-12 and est.weights.min() >= 0.0
+            assert abs(chi - (est.value_nats - est.gap_bound)) <= 1e-12, (dims, trial, max_iter)
+            assert abs(est.lower_nats - chi) <= 1e-12
+            assert est.lower_nats <= est.upper_nats == est.value_nats
 
     def test_sweeps_at_a_wrong_weight_solve_do_not_cycle(self):
         # with 3 or 4 Barzilai-Borwein-started position sweeps, the first

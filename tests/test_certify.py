@@ -8,7 +8,9 @@ from chancap import (
     capacity_ratio_prefactor,
     chain_report,
     depolarizing_channel,
+    entanglement_assisted_capacity,
     family_total_weight,
+    holevo_quantity,
     identity_channel,
     lower_bound_factor,
     mutual_information,
@@ -274,6 +276,18 @@ class TestVerifyRatioBound:
     def test_depolarizing_near_total_noise(self):
         check = verify_ratio_bound(depolarizing_channel(2, 0.9))
         assert check.ce_bits / check.ch_bits < 3.1 < check.prefactor
+
+    def test_slack_uses_the_certified_ends(self):
+        # the slack takes C_H from below (the witness ensemble) and C_E from
+        # above (value plus gap), so it is never above the slack of the values
+        chan = random_channel(3, 2, seed=(6002, 48))
+        check = verify_ratio_bound(chan, seed=(7002, 48))
+        ce = entanglement_assisted_capacity(chan)
+        ch = holevo_quantity(chan, seed=(7002, 48))
+        sound = (check.prefactor * ch.lower_nats - ce.upper_nats) / math.log(2.0)
+        assert check.slack_bits == sound
+        assert (check.ce_bits, check.ch_bits) == (ce.value_bits, ch.value_bits)
+        assert 0.0 < check.slack_bits <= check.prefactor * ch.value_bits - ce.value_bits
 
     def test_random_channels(self):
         for trial in range(10):

@@ -56,7 +56,6 @@ MAX_MOVE = 1e3  # bound on an ascent move, step * |tangent|: flat objectives ste
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
 GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
-WEIGHT_TOL_CAP = 1e-11  # cap on the weight solve's gap tolerance 0.02 tol
 MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
 POSITION_SWEEPS = 6  # witness-position ascent sweeps per outer iteration of the Holevo solver
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope
@@ -258,13 +257,6 @@ def entanglement_assisted_capacity(
     )
 
 
-def _divergences(outs: np.ndarray, ln_sigma: np.ndarray, self_terms=None) -> np.ndarray:
-    """D(out_i || sigma) for a stack of outputs; ``self_terms`` may cache trace_xlogx(outs)."""
-    if self_terms is None:
-        self_terms = trace_xlogx(outs)
-    return self_terms - np.einsum("rbc,cb->r", outs, ln_sigma).real
-
-
 def _divergences_and_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
     """D(T(psi psi*)||sigma) and its Wirtinger gradient for a stack of unit vectors.
 
@@ -381,17 +373,44 @@ def max_output_divergence(
     return float(vals[best]), psi[best]
 
 
-def _mixture_divergences(
-    outs: np.ndarray, weights: np.ndarray, self_terms=None
-) -> tuple[np.ndarray, Eigensystem]:
-    """Divergences D_i = D(out_i || barycenter) with floored logs, and the
-    eigensystem of the barycenter sum_i w_i out_i they come from.
+class _Alphabet(NamedTuple):
+    """The outputs T(psi_i psi_i*) of a witness stack, their self terms
+    tr(out_i ln out_i), and the Caratheodory bound min(d_in, d_out)^2: the
+    outputs of a channel lie in an affine space of dimension at most
+    min(d_in^2, d_out^2) - 1, so more of them than the bound are affinely
+    dependent."""
 
-    ``weights @ D`` is the ensemble mixture divergence, a valid lower bound
-    on the Holevo quantity.
-    """
-    eig = clamped_eigh(np.einsum("r,rij->ij", weights, outs))
-    return _divergences(outs, eigensystem_log(eig), self_terms), eig
+    outs: np.ndarray
+    self_terms: np.ndarray
+    max_support: int
+
+
+def _alphabet(channel: QuantumChannel, witnesses: np.ndarray) -> _Alphabet:
+    outs = pure_outputs(channel, witnesses)
+    return _Alphabet(outs, trace_xlogx(outs), min(channel.d_in, channel.d_out) ** 2)
+
+
+class _EnsemblePoint(NamedTuple):
+    """Weights over an alphabet with their mixture divergence chi = weights @ dvals,
+    a valid lower bound on the Holevo quantity; the divergences
+    D_i = D(out_i || barycenter) with floored logs; the eigensystem of the
+    barycenter sum_i w_i out_i they come from; and the optimality gap
+    max_i D_i - chi. Built only by ``_ensemble_point``, from one
+    eigendecomposition, so chi is exactly reproduced from the weights."""
+
+    weights: np.ndarray
+    chi: float
+    dvals: np.ndarray
+    eig: Eigensystem
+    gap: float
+
+
+def _ensemble_point(alphabet: _Alphabet, weights: np.ndarray) -> _EnsemblePoint:
+    eig = clamped_eigh(np.einsum("r,rij->ij", weights, alphabet.outs))
+    ln_avg = eigensystem_log(eig)
+    dvals = alphabet.self_terms - np.einsum("rbc,cb->r", alphabet.outs, ln_avg).real
+    chi = float(weights @ dvals)
+    return _EnsemblePoint(weights, chi, dvals, eig, float(dvals.max()) - chi)
 
 
 def _move_to_boundary(weights, support, delta, step_max) -> np.ndarray:
@@ -408,24 +427,23 @@ def _move_to_boundary(weights, support, delta, step_max) -> np.ndarray:
     return q / q.sum()
 
 
-def _weight_newton_step(
-    outs: np.ndarray, weights: np.ndarray, barycenter_eig: Eigensystem, dvals: np.ndarray
-) -> np.ndarray:
-    """One Newton step towards D_i = chi on the support of ``weights``.
+def _weight_newton_step(outs: np.ndarray, point: _EnsemblePoint) -> np.ndarray:
+    """One Newton step towards D_i = chi on the support of the point's weights.
 
     The output with the largest D_i joins the support if it is outside. The
     divergences are linearized with the Hessian of -tr(avg ln avg), built
-    from the divided differences of ln over the spectrum of the barycenter,
-    whose eigensystem ``barycenter_eig`` the D_i were computed from, and the
-    equality-constrained system is solved in the least-squares sense.
-    A step that would push a weight below zero stops where the first one
-    reaches zero, which drops that output from the support.
+    from the divided differences of ln over the spectrum of the point's
+    barycenter, and the equality-constrained system is solved in the
+    least-squares sense. A step that would push a weight below zero stops
+    where the first one reaches zero, which drops that output from the
+    support.
     """
+    weights, dvals = point.weights, point.dvals
     support = np.flatnonzero(weights > WEIGHT_FLOOR)
     worst = int(np.argmax(dvals))
     if weights[worst] <= WEIGHT_FLOOR:
         support = np.append(support, worst)
-    lam, v = barycenter_eig
+    lam, v = point.eig
     rot = v.conj().T @ outs[support] @ v
     hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, log_divided_differences(lam)).real
     n = support.size
@@ -437,120 +455,97 @@ def _weight_newton_step(
 
 
 def _frank_wolfe_step(
-    evaluate, p: np.ndarray, dvals: np.ndarray, chi: float, gap: float, tol: float
-):
-    """A weight step (1 - t) p + t e_worst towards the output with the largest
-    D_i, along which chi rises at the rate of the gap, as (weights, their
-    ``evaluate``), or None where no step is found.
+    alphabet: _Alphabet, point: _EnsemblePoint, tol: float
+) -> _EnsemblePoint | None:
+    """The point at weights (1 - t) p + t e_worst, a step towards the output
+    with the largest D_i along which chi rises at the rate of the gap, or
+    None where no step is found.
 
     t is halved from 1 until Armijo holds. Below STEP_FLOOR, chi moves by
     O(gap^2), under rounding, but its slope D(q_t) @ (e_worst - p) along the
     step is O(gap): t is then bisected on that slope's sign in (0, hi), hi
     the smallest t tried where chi does not rise, until a gap is at most
     ``tol`` or rounding pins t. The point of lowest gap met is taken if its
-    gap is below ``gap``; its chi is the line's maximum up to rounding.
+    gap is below the start's; its chi is the line's maximum up to rounding.
     """
-    worst = int(np.argmax(dvals))
-    toward = -p
-    toward[worst] += 1.0  # e_worst - p
-
-    def trial_at(t: float):
-        q = (1.0 - t) * p
-        q[worst] += t
-        return q, evaluate(q)
-
+    p = point.weights
+    e_worst = np.zeros_like(p)
+    e_worst[np.argmax(point.dvals)] = 1.0
+    toward = e_worst - p
     t = hi = 1.0
     while t >= STEP_FLOOR:
-        q, trial = trial_at(t)
-        chi_q, dvals_q, _, _ = trial
-        if chi_q >= chi + ARMIJO * t * gap:
-            return q, trial
-        if dvals_q @ toward <= 0.0:
+        trial = _ensemble_point(alphabet, (1.0 - t) * p + t * e_worst)
+        if trial.chi >= point.chi + ARMIJO * t * point.gap:
+            return trial
+        if trial.dvals @ toward <= 0.0:
             hi = t
         t /= 2.0
     lo, found = 0.0, None
     while lo < (t := (lo + hi) / 2.0) < hi:
-        q, trial = trial_at(t)
-        _, dvals_q, _, gap_q = trial
-        if gap_q < gap:
-            found, gap = (q, trial), gap_q
-        if gap_q <= tol:
+        trial = _ensemble_point(alphabet, (1.0 - t) * p + t * e_worst)
+        if trial.gap < (found or point).gap:
+            found = trial
+        if trial.gap <= tol:
             break
-        lo, hi = (t, hi) if dvals_q @ toward > 0.0 else (lo, t)
+        lo, hi = (t, hi) if trial.dvals @ toward > 0.0 else (lo, t)
     return found
 
 
-def _ensemble_weights(
-    outs: np.ndarray, tol: float, init: np.ndarray, self_terms: np.ndarray | None = None
-):
-    """Optimal weights over a fixed output alphabet.
+def _ensemble_weights(alphabet: _Alphabet, tol: float, init: np.ndarray) -> _EnsemblePoint:
+    """Optimal weights over a fixed output alphabet, as their point.
 
     Maximizes the mixture divergence chi (the restricted-alphabet capacity in
     nats) from the weights ``init``, raised to at least MIN_START_WEIGHT,
     until the optimality gap max_i D_i - chi is at most ``tol``, by up to
-    NEWTON_STEPS damped Newton steps on D_i = chi. Each trial point is
-    evaluated from one eigendecomposition of its barycenter, which gives chi,
-    the D_i, the gap and the next Newton system. More than d^2 outputs (d the
-    output dimension) are affinely dependent and make the Newton system
-    singular, so such a support is first cut by a Caratheodory step: along a
-    null vector z of the stacked [Re vec(out_i); Im vec(out_i); 1] the
-    barycenter and the D_i stay fixed and chi is linear with slope
-    z @ self_terms, so the weights move uphill until the first one is zero.
+    NEWTON_STEPS damped Newton steps on D_i = chi. Each trial point is one
+    ``_ensemble_point``, from one eigendecomposition of its barycenter. More
+    than ``alphabet.max_support`` = min(d_in, d_out)^2 outputs are affinely
+    dependent and make the Newton system singular, so such a support is
+    first cut by a Caratheodory step: along a null vector z of the stacked
+    [Re vec(out_i); Im vec(out_i); 1] the barycenter and the D_i stay fixed
+    and chi is linear with slope z @ self_terms, so the weights move uphill
+    until the first one is zero.
     That point is kept if its chi is not lower. A Newton step, halved up to
     4 times, is kept if its chi is above the start's and it lowers the gap or
     raises chi. If all five are rejected, a Frank-Wolfe step towards the
     output with the largest D_i is taken (``_frank_wolfe_step``); the solve
-    stops where it finds none. Returns (weights, chi at those weights, the
-    eigensystem of their barycenter). ``self_terms`` may cache
-    trace_xlogx(outs).
+    stops where it finds none.
     """
     p = np.clip(init, MIN_START_WEIGHT, None)
-    p = p / p.sum()
-    if self_terms is None:
-        self_terms = trace_xlogx(outs)
-
-    def evaluate(weights: np.ndarray):
-        """chi, the D_i, the barycenter eigensystem and the gap at ``weights``."""
-        dvals, eig = _mixture_divergences(outs, weights, self_terms)
-        chi = float(weights @ dvals)
-        return chi, dvals, eig, float(dvals.max()) - chi
-
-    chi, dvals, eig, gap = evaluate(p)
-    chi_start = chi
+    point = _ensemble_point(alphabet, p / p.sum())
+    chi_start = point.chi
     for _ in range(NEWTON_STEPS):
-        if gap <= tol:
+        if point.gap <= tol:
             break
-        support = np.flatnonzero(p > WEIGHT_FLOOR)
-        if support.size > outs.shape[1] ** 2:
-            flat = outs[support].reshape(support.size, -1)
+        support = np.flatnonzero(point.weights > WEIGHT_FLOOR)
+        if support.size > alphabet.max_support:
+            flat = alphabet.outs[support].reshape(support.size, -1)
             z = np.linalg.svd(np.vstack([flat.real.T, flat.imag.T, np.ones(support.size)]))[2][-1]
-            q = _move_to_boundary(p, support, z if z @ self_terms[support] >= 0.0 else -z, np.inf)
-            trial = evaluate(q)
-            if trial[0] >= chi:
-                p, (chi, dvals, eig, gap) = q, trial
-        direction = _weight_newton_step(outs, p, eig, dvals) - p
+            z = z if z @ alphabet.self_terms[support] >= 0.0 else -z
+            trial = _ensemble_point(alphabet, _move_to_boundary(point.weights, support, z, np.inf))
+            if trial.chi >= point.chi:
+                point = trial
+        direction = _weight_newton_step(alphabet.outs, point) - point.weights
         for shrink in (1.0, 2.0, 4.0, 8.0, 16.0):
-            q = p + direction / shrink
-            trial = evaluate(q)
-            chi_q, _, _, gap_q = trial
-            if chi_q > chi_start and (gap_q < gap or chi_q > chi):
-                p, (chi, dvals, eig, gap) = q, trial
+            trial = _ensemble_point(alphabet, point.weights + direction / shrink)
+            if trial.chi > chi_start and (trial.gap < point.gap or trial.chi > point.chi):
+                point = trial
                 break
         else:
-            step = _frank_wolfe_step(evaluate, p, dvals, chi, gap, tol)
+            step = _frank_wolfe_step(alphabet, point, tol)
             if step is None:
                 break
-            p, (chi, dvals, eig, gap) = step
-    return p, chi, eig
+            point = step
+    return point
 
 
 def _fit_ensemble(
     channel: QuantumChannel, witnesses: np.ndarray, init: np.ndarray, ba_tol: float
-):
+) -> tuple[np.ndarray, _Alphabet, _EnsemblePoint]:
     """Weights and positions of the witness ensemble for the certified lower bound.
 
-    The weights over the witnesses' outputs are solved from ``init``. With two
-    or more witnesses, each of up to POSITION_SWEEPS sweeps then moves them at
+    The weights over the two or more witnesses' outputs are solved from
+    ``init``. Each of up to POSITION_SWEEPS sweeps then moves the witnesses at
     these weights along divergence-ascent tangents against the barycenter,
     line-searched on the mixture divergence so the bound never decreases; an
     accepted point's barycenter is the next sweep's reference. The first
@@ -559,19 +554,18 @@ def _fit_ensemble(
     last accepted move, y the drop in tangent), raised to MIN_BB_STEP, or
     from 1 where Re<s,y> <= 0; either start is cut so that the move,
     step * |tangent|, is at most MAX_MOVE. If any sweep moved the witnesses,
-    the weights are solved once more. Returns (witnesses, outputs, weights,
-    chi).
+    the weights are solved once more, and that solve's point is kept unless
+    its chi is below the sweeps'. Returns (witnesses, their alphabet, the
+    ensemble point), and the point's chi is the one reported: it equals
+    ``_ensemble_point(alphabet, point.weights).chi`` exactly.
     """
-    outs = pure_outputs(channel, witnesses)
-    if len(witnesses) < 2:
-        return witnesses, outs, np.ones(1), 0.0
-    weights, chi, eig = _ensemble_weights(outs, ba_tol, init)
-    self_terms = None  # set once a sweep moves the witnesses
+    alphabet = start = _alphabet(channel, witnesses)
+    point = _ensemble_weights(alphabet, ba_tol, init)
     last = None  # (witnesses, tangent) before the last accepted move
     for _ in range(POSITION_SWEEPS):
-        vals, grads = _divergences_and_grads(channel, eigensystem_log(eig), witnesses)
+        vals, grads = _divergences_and_grads(channel, eigensystem_log(point.eig), witnesses)
         tangent = grads - vals[:, None] * witnesses  # vals is Re<psi, g>: the tangent part of g
-        slope = float(weights @ np.linalg.norm(tangent, axis=1) ** 2)
+        slope = float(point.weights @ np.linalg.norm(tangent, axis=1) ** 2)
         if slope <= MIN_SLOPE:
             break
         step = 1.0
@@ -585,21 +579,19 @@ def _fit_ensemble(
         while step >= STEP_FLOOR:
             cand = witnesses + step * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cand_outs = pure_outputs(channel, cand)
-            cand_terms = trace_xlogx(cand_outs)
-            cand_dvals, cand_eig = _mixture_divergences(cand_outs, weights, cand_terms)
-            chi_cand = float(weights @ cand_dvals)
-            if chi_cand >= chi + ARMIJO * step * slope:
-                witnesses, outs, chi, self_terms = cand, cand_outs, chi_cand, cand_terms
-                eig = cand_eig
+            cand_alphabet = _alphabet(channel, cand)
+            trial = _ensemble_point(cand_alphabet, point.weights)
+            if trial.chi >= point.chi + ARMIJO * step * slope:
+                witnesses, alphabet, point = cand, cand_alphabet, trial
                 break
             step /= 2.0
         else:
             break
-    if self_terms is not None:
-        weights, chi_new, _ = _ensemble_weights(outs, ba_tol, weights, self_terms)
-        chi = max(chi, chi_new)
-    return witnesses, outs, weights, chi
+    if alphabet is not start:  # a sweep moved the witnesses
+        second = _ensemble_weights(alphabet, ba_tol, point.weights)
+        if second.chi >= point.chi:
+            point = second
+    return witnesses, alphabet, point
 
 
 def holevo_quantity(
@@ -626,10 +618,12 @@ def holevo_quantity(
     state that two or more rows ended in with a divergence above the best
     lower bound, highest first, each unless it is within DUPLICATE_OVERLAP
     of a witness. The new witnesses start at weight 1/n each (n witnesses in
-    all) and the others keep their weights, scaled to fill the rest. The
-    returned ``witnesses`` and ``weights`` are those of the fit that set the
-    best lower bound, not of the last fit (empty if the gap closed before
-    any fit).
+    all) and the others keep their weights, scaled to fill the rest; the
+    weights are solved to a gap of 0.02 tol. The returned ``witnesses`` and
+    ``weights`` are those of the fit that set the best lower bound, not of
+    the last fit (empty if the gap closed before any fit), and their
+    ``_ensemble_point`` reproduces that bound exactly (a single witness
+    certifies 0 without a fit).
     """
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
@@ -641,7 +635,7 @@ def holevo_quantity(
     value_best = float("inf")
     sigma_best = sigma
     iterations = 0
-    ba_tol = min(WEIGHT_TOL_CAP, 0.02 * tol)
+    ba_tol = 0.02 * tol
     grad_tol = min(GRAD_TOL_RANGE[1], max(GRAD_TOL_RANGE[0], np.sqrt(tol) / 30.0))
     for iterations in range(1, max_iter + 1):
         g = seeded_rng(seed, iterations)
@@ -663,7 +657,11 @@ def holevo_quantity(
                 witnesses = np.concatenate([witnesses, states[row][None, :]])
         n, k = len(witnesses), len(witnesses) - len(weights)
         init = np.concatenate([weights * (1.0 - k / n), np.full(k, 1.0 / n)])
-        witnesses, outs, weights, chi = _fit_ensemble(channel, witnesses, init, ba_tol)
+        if n > 1:
+            witnesses, alphabet, point = _fit_ensemble(channel, witnesses, init, ba_tol)
+            outs, weights, chi = alphabet.outs, point.weights, point.chi
+        else:  # one state: chi = D(out || out) = 0, nothing to fit
+            outs, weights, chi = pure_outputs(channel, witnesses), init, 0.0
         if chi >= chi_best:
             chi_best, certificate = chi, (witnesses, weights)
         if value_best - chi_best <= tol:  # closed by the fit

@@ -29,10 +29,11 @@ from chancap.capacity import (
     SUP_RESTARTS,
     SWEEP_MAX_ITER,
     SWEEP_TOL,
+    _alphabet,
     _divergences_and_grads,
+    _ensemble_point,
     _ensemble_weights,
     _fit_ensemble,
-    _mixture_divergences,
     _sphere_ascent,
 )
 from chancap.channels import pure_outputs as _batch_outputs
@@ -275,14 +276,17 @@ class TestHolevoQuantity:
         est = holevo_quantity(random_channel(2, 2, seed=(6000, 0)), tol=1e-7, seed=(7000, 0))
         assert est.converged and est.iterations >= 2 and len(fits) == est.iterations - 1
         # at the maximally mixed reference of a depolarizing channel every
-        # input is optimal, so only a fit raising the lower bound closes the gap
+        # input is optimal, so only a fit raising the lower bound closes the
+        # gap. The first outer iteration adds one witness, which certifies 0
+        # without a fit; the fit of the second closes the gap
         fits.clear()
         est = holevo_quantity(depolarizing_channel(2, 0.5), tol=SWEEP_TOL, seed=0)
-        assert est.converged and len(fits) == est.iterations == 2
+        assert est.converged and est.iterations == 2 and len(fits) == 1
 
     def test_returned_ensemble_certifies_the_lower_bound(self):
         # chi rebuilt from the returned witnesses and weights is the reported
-        # lower end value - gap. With the gap tested only after each fit, the
+        # lower end value - gap, and exactly so through the solver's own
+        # ensemble point. With the gap tested only after each fit, the
         # last fit of the first two solves ends 7.7e-5 and 3.8e-5 nats below
         # it; the third is cut after a fit that ends 4.8e-5 below an earlier one
         for index, trial, max_iter in ((2, 48, 100), (3, 39, 100), (1, 5, 3), (1, 5, 100),
@@ -297,6 +301,8 @@ class TestHolevoQuantity:
             assert abs(est.weights.sum() - 1.0) <= 1e-12 and est.weights.min() >= 0.0
             assert abs(chi - (est.value_nats - est.gap_bound)) <= 1e-12, (dims, trial, max_iter)
             assert abs(est.lower_nats - chi) <= 1e-12
+            alphabet = _alphabet(chan, np.array(est.witnesses))
+            assert est.lower_nats == _ensemble_point(alphabet, est.weights).chi
             assert est.lower_nats <= est.upper_nats == est.value_nats
 
     def test_sweeps_at_a_wrong_weight_solve_do_not_cycle(self):
@@ -494,20 +500,21 @@ class TestInnerSolvers:
             assert again[0] - vals.max() <= 1e-12
 
     def test_ensemble_weights_close_the_gap_on_degenerate_alphabets(self):
-        # five and nine qubit outputs, and twelve qutrit outputs (more than
-        # d_out^2 = 4 and 9), leave chi linear along barycenter-preserving
-        # directions; two witnesses with overlap 1 - 1e-9 make the optimality
-        # system nearly singular. Pure outputs of an isometry, of the identity
-        # and of a Kraus-rank-2 channel leave a kernel in the barycenter, where
-        # its logarithm is floored
+        # five and nine outputs of qubit inputs, and twelve qutrit outputs
+        # (more than min(d_in, d_out)^2 = 4 and 9), leave chi linear along
+        # barycenter-preserving directions, also where the qubit inputs go to
+        # qutrit outputs; two witnesses with overlap 1 - 1e-9 make the
+        # optimality system nearly singular. Pure outputs of an isometry, of
+        # the identity and of a Kraus-rank-2 channel leave a kernel in the
+        # barycenter, where its logarithm is floored
         def solve(chan, states):
-            outs = _batch_outputs(chan, states)
+            alphabet = _alphabet(chan, states)
             uniform = np.full(len(states), 1.0 / len(states))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                weights, chi, _ = _ensemble_weights(outs, 1e-11, uniform)
-                dvals, _ = _mixture_divergences(outs, weights)
-                chi_uniform = float(uniform @ _mixture_divergences(outs, uniform)[0])
+                weights, chi = _ensemble_weights(alphabet, 1e-11, uniform)[:2]
+                dvals = _ensemble_point(alphabet, weights).dvals
+                chi_uniform = _ensemble_point(alphabet, uniform).chi
             assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
             assert chi == float(weights @ dvals)
             assert dvals.max() - chi <= 1e-9
@@ -515,6 +522,7 @@ class TestInnerSolvers:
 
         for trial in range(6):
             qubit = random_channel(2, 2, seed=(60, trial))
+            qubit_to_qutrit = random_channel(2, 3, seed=(67, trial))
             qutrit = random_channel(3, 3, seed=(62, trial))
             wide = np.array([random_pure_state(2, (61, trial, i)) for i in range(9)])
             crowded = wide[:5]
@@ -528,6 +536,8 @@ class TestInnerSolvers:
                 (qubit, crowded),
                 (qubit, twins),
                 (qubit, wide),
+                (qubit_to_qutrit, crowded),
+                (qubit_to_qutrit, wide),
                 (qutrit, qutrit_wide),
             ):
                 chi, chi_uniform = solve(chan, states)
@@ -564,9 +574,9 @@ class TestInnerSolvers:
         ).reshape(3, 2)
         init = np.array([0.35230650403887737, 0.3143601626277894, 0.3333333333333333])
         stalled_chi, stalled_gap = 0.23680758643660366, 0.0024543654848424024
-        outs = _batch_outputs(chan, states)
-        weights, chi, _ = _ensemble_weights(outs, 1e-11, init)
-        gap = float(_mixture_divergences(outs, weights)[0].max()) - chi
+        alphabet = _alphabet(chan, states)
+        weights, chi = _ensemble_weights(alphabet, 1e-11, init)[:2]
+        gap = float(_ensemble_point(alphabet, weights).dvals.max()) - chi
         assert chi > stalled_chi and gap < stalled_gap
         assert gap <= 1e-9
 
@@ -586,11 +596,39 @@ class TestInnerSolvers:
             ]
         ).reshape(2, 2)
         init = np.array([0.467327184580026, 0.532672815419974])
-        outs = _batch_outputs(chan, states)
-        weights, chi, _ = _ensemble_weights(outs, 2e-12, init)
-        dvals = _mixture_divergences(outs, weights)[0]
+        alphabet = _alphabet(chan, states)
+        weights, chi = _ensemble_weights(alphabet, 2e-12, init)[:2]
+        dvals = _ensemble_point(alphabet, weights).dvals
         assert chi == float(weights @ dvals)
         assert dvals.max() - chi <= 2e-12
+
+    def test_caratheodory_bound_comes_from_the_input_dimension(self):
+        # outputs of qubit inputs span an affine space of dimension at most 3,
+        # so 5 of them are affinely dependent whatever d_out is. The third fit
+        # of criterion-5 channel (2, 3), trial 31, at tol 1e-7 (solver seed
+        # (7001, 31)) starts from these five witnesses; with the bound taken
+        # from d_out^2 = 9, its weight solve left a gap of 4.0e-5
+        for (din, dout), bound in (((2, 3), 4), ((3, 2), 4), ((3, 3), 9), ((2, 4), 4)):
+            chan = random_channel(din, dout, seed=0)
+            assert _alphabet(chan, np.eye(din, dtype=complex)).max_support == bound
+        chan = random_channel(2, 3, seed=(6001, 31))
+        states = np.array(
+            [
+                -0.8948835655844637 - 0.2247715107017502j,
+                0.11693324947021802 + 0.36740684151499653j,
+                -0.256377125881339 + 0.15062619077203016j,
+                -0.7779410782485099 - 0.5535252467158819j,
+                -0.476736820130337 + 0.8061072557246868j,
+                -0.17268370991001442 + 0.30511216450961604j,
+                -0.06290852335857434 + 0.15151936244661238j,
+                -0.9823268731103415 - 0.09010169175922839j,
+                -0.9135682947528331 - 0.21980211022852528j,
+                0.08181232443575168 + 0.33224501009331525j,
+            ]
+        ).reshape(5, 2)
+        init = np.array([0.2141630192744648, 0.18583698072553523, 0.2, 0.2, 0.2])
+        point = _ensemble_weights(_alphabet(chan, states), 1e-11, init)
+        assert point.gap <= 1e-11
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -607,15 +645,15 @@ class TestInnerSolvers:
         g = seeded_rng(seed, 1)
         states = g.standard_normal((m, din)) + 1j * g.standard_normal((m, din))
         states /= np.linalg.norm(states, axis=1, keepdims=True)
-        outs = _batch_outputs(chan, states)
+        alphabet = _alphabet(chan, states)
         init = g.exponential(size=m) * (g.random(m) < 0.7)
         if not init.any():
             init[0] = 1.0
         start = np.clip(init, MIN_START_WEIGHT, None)
         start /= start.sum()
-        weights, chi, _ = _ensemble_weights(outs, tol, init)
-        assert chi == float(weights @ _mixture_divergences(outs, weights)[0])
-        assert chi >= float(start @ _mixture_divergences(outs, start)[0])
+        weights, chi = _ensemble_weights(alphabet, tol, init)[:2]
+        assert chi == float(weights @ _ensemble_point(alphabet, weights).dvals)
+        assert chi >= _ensemble_point(alphabet, start).chi
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -626,7 +664,8 @@ class TestInnerSolvers:
     )
     def test_property_fit_never_lowers_the_first_weight_solve(self, dims, m, seed, ba_tol):
         # the position sweeps, started from Barzilai-Borwein steps, and the
-        # second weight solve never end below the chi of the first solve
+        # second weight solve never end below the chi of the first solve, and
+        # the returned point's chi is the mixture divergence at its weights
         din, dout = dims
         chan = random_channel(din, dout, seed=seed)
         g = seeded_rng(seed, 1)
@@ -634,10 +673,11 @@ class TestInnerSolvers:
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         init = g.exponential(size=m)
         init /= init.sum()
-        witnesses, outs, weights, chi = _fit_ensemble(chan, states, init, ba_tol)
+        witnesses, alphabet, point = _fit_ensemble(chan, states, init, ba_tol)
         assert np.allclose(np.linalg.norm(witnesses, axis=1), 1.0)
-        assert np.array_equal(outs, _batch_outputs(chan, witnesses))
-        assert chi >= _ensemble_weights(_batch_outputs(chan, states), ba_tol, init)[1]
+        assert np.array_equal(alphabet.outs, _batch_outputs(chan, witnesses))
+        assert point.chi == _ensemble_point(alphabet, point.weights).chi
+        assert point.chi >= _ensemble_weights(_alphabet(chan, states), ba_tol, init).chi
 
 
 class TestSolverProperties:

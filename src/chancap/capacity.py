@@ -264,12 +264,13 @@ def _divergences_and_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states
     isometry kraus.reshape(m * d_out, d_in) and X_i = ln T(psi_i) - ln sigma; the
     divergence is Re<psi_i, g_i>, and along a tangent t (Re<psi_i, t> = 0) it
     changes at the rate 2 Re<g_i, t>. Both come from one eigendecomposition of
-    the outputs; every product is per row, so no row depends on the others.
+    the outputs and one floored log of its eigenvalues (``log_matrix``); every
+    product is per row, so no row depends on the others.
     """
     m, d_out, d_in = channel.kraus.shape
     v = channel.kraus.reshape(m * d_out, d_in)
     amps = (v @ states[:, :, None]).reshape(-1, m, d_out)  # row i: V psi_i as m x d_out
-    x = eigensystem_log(clamped_eigh(amps.swapaxes(1, 2) @ amps.conj())) - ln_sigma
+    x = log_matrix(amps.swapaxes(1, 2) @ amps.conj()) - ln_sigma
     grads = ((amps @ x.swapaxes(1, 2)).reshape(-1, 1, m * d_out) @ v.conj()).reshape(-1, d_in)
     return np.einsum("ri,ri->r", states.conj(), grads).real, grads
 
@@ -294,9 +295,10 @@ def _sphere_ascent(
     move, step * |tangent|, is at most MAX_MOVE, which does not depend on the
     objective's scale: on a flat one (curvature ~1e-6 at a depolarizing weight
     p = 0.999) a row takes the long step Barzilai-Borwein asks for. A round
-    evaluates the trial points of all working rows in one kernel call and, under
-    one mask, moves each accepted row and halves each rejected row's step. A
-    row retires once its tangent is at most ``grad_tol``, its step is halved
+    evaluates the trial points of all working rows in one kernel call. If every
+    row passes Armijo, the trial arrays become the rows' state whole; otherwise,
+    under one mask, each accepted row moves and each rejected row halves its
+    step. A row retires once its tangent is at most ``grad_tol``, its step is halved
     below STEP_FLOOR, or it has run MAX_SEARCHES searches. A row whose accepted
     point has squared overlap at least MERGE_OVERLAP with a row of higher value
     (on a tie, of lower index) merges into it: it stops, and ends with that
@@ -314,8 +316,8 @@ def _sphere_ascent(
     alpha = MAX_MOVE / np.maximum(norms, MAX_MOVE)  # the first step is 1, capped by MAX_MOVE
     searches = np.ones(n, dtype=int)
     keep = norms > grad_tol
-    while keep.any():
-        if not keep.all():
+    while working := np.count_nonzero(keep):
+        if working < keep.size:
             rows, psi, vals, tangent, norms, alpha, searches = (
                 a[keep] for a in (rows, psi, vals, tangent, norms, alpha, searches)
             )
@@ -331,19 +333,29 @@ def _sphere_ascent(
         bb = np.maximum(sy / np.where(use_bb, _re_inner(y, y), 1.0), MIN_BB_STEP)
         start = np.where(use_bb, bb, 2.0 * alpha)
         # min(start, MAX_MOVE / |tangent|) for an accepted row, without dividing by a zero tangent
-        alpha = np.where(ok, MAX_MOVE / np.maximum(cand_norms, MAX_MOVE / start), alpha / 2.0)
-        searches += ok
-        psi = np.where(ok[:, None], cand, psi)
-        vals = np.where(ok, cand_vals, vals)
-        tangent = np.where(ok[:, None], cand_tangent, tangent)
-        norms = np.where(ok, cand_norms, norms)
-        keep = np.where(ok, (norms > grad_tol) & (searches <= MAX_SEARCHES), alpha >= STEP_FLOOR)
-        if ok.any():
+        next_alpha = MAX_MOVE / np.maximum(cand_norms, MAX_MOVE / start)
+        accepted = np.count_nonzero(ok)
+        if accepted == ok.size:  # every row moves: no masking
+            alpha, psi, vals = next_alpha, cand, cand_vals
+            tangent, norms = cand_tangent, cand_norms
+            searches += 1
+            keep = (norms > grad_tol) & (searches <= MAX_SEARCHES)
+            moved, moved_psi, moved_vals = rows, cand, cand_vals
+        else:
+            alpha = np.where(ok, next_alpha, alpha / 2.0)
+            searches += ok
+            psi = np.where(ok[:, None], cand, psi)
+            vals = np.where(ok, cand_vals, vals)
+            tangent = np.where(ok[:, None], cand_tangent, tangent)
+            norms = np.where(ok, cand_norms, norms)
+            searching = (norms > grad_tol) & (searches <= MAX_SEARCHES)
+            keep = np.where(ok, searching, alpha >= STEP_FLOOR)
+            moved, moved_psi, moved_vals = rows[ok], cand[ok], cand_vals[ok]
+        if accepted:
             best_psi[rows], best_vals[rows] = psi, vals
-            moved = rows[ok]
-            near = np.abs(psi[ok].conj() @ best_psi.T) ** 2 >= MERGE_OVERLAP
-            if near.sum() > moved.size:  # a moved row is near a row other than itself
-                v = vals[ok, None]
+            near = np.abs(moved_psi.conj() @ best_psi.T) ** 2 >= MERGE_OVERLAP
+            if np.count_nonzero(near) > moved.size:  # a moved row is near a row other than itself
+                v = moved_vals[:, None]
                 near &= np.where(np.arange(n) < moved[:, None], best_vals >= v, best_vals > v)
                 hit = near.any(axis=1)
                 partner[moved[hit]] = near[hit].argmax(axis=1)
@@ -352,6 +364,13 @@ def _sphere_ascent(
     while (partner[partner] != partner).any():  # follow merge chains to their survivors
         partner = partner[partner]
     return best_vals[partner], best_psi[partner], partner
+
+
+def _random_starts(g: np.random.Generator, restarts: int, d: int) -> np.ndarray:
+    """``restarts`` complex Gaussian rows of length d: the random sphere-ascent starts."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    return g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
 
 
 def max_output_divergence(
@@ -363,10 +382,9 @@ def max_output_divergence(
     the restarts. Returns (best value in nats, best input vector); ties are
     broken by the lowest start index. A restart that merged into a higher one
     ties with it and returns its state, so a tie does not change the vector.
+    ``restarts`` must be at least 1.
     """
-    d = channel.d_in
-    g = seeded_rng(seed)
-    starts = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
+    starts = _random_starts(seeded_rng(seed), restarts, channel.d_in)
     ln_sigma = log_matrix(np.asarray(sigma, dtype=complex))
     vals, psi, _ = _sphere_ascent(channel, ln_sigma, starts)
     best = int(np.argmax(vals))
@@ -623,7 +641,7 @@ def holevo_quantity(
     ``weights`` are those of the fit that set the best lower bound, not of
     the last fit (empty if the gap closed before any fit), and their
     ``_ensemble_point`` reproduces that bound exactly (a single witness
-    certifies 0 without a fit).
+    certifies 0 without a fit). ``restarts`` must be at least 1.
     """
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
@@ -638,8 +656,7 @@ def holevo_quantity(
     ba_tol = 0.02 * tol
     grad_tol = min(GRAD_TOL_RANGE[1], max(GRAD_TOL_RANGE[0], np.sqrt(tol) / 30.0))
     for iterations in range(1, max_iter + 1):
-        g = seeded_rng(seed, iterations)
-        fresh = g.standard_normal((restarts, d)) + 1j * g.standard_normal((restarts, d))
+        fresh = _random_starts(seeded_rng(seed, iterations), restarts, d)
         starts = np.concatenate([witnesses, fresh]) if len(witnesses) else fresh
         ln_sigma = log_matrix(sigma)
         vals, states, partner = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)

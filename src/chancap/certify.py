@@ -123,11 +123,15 @@ def superposition_family(basis: np.ndarray):
 
 
 def _family_outputs(channel: QuantumChannel, basis: np.ndarray):
-    """Outputs of the basis vectors, then of ``superposition_family(basis)``, as one
-    stack, with the (k, l) pair of each superposition."""
-    family = list(superposition_family(basis))
-    vectors = np.array([*basis.T, *(vec for _, vec in family)])
-    return [(k, l) for (k, l, _), _ in family], pure_outputs(channel, vectors)
+    """Outputs of the basis vectors, then of ``superposition_family(basis)`` in its
+    order, as one stack, with the pair indices k and l of each superposition."""
+    d = basis.shape[1]
+    ks, ls = np.nonzero(~np.eye(d, dtype=bool))  # pairs k != l in ``permutations`` order
+    phases = np.array([1j**a for a in range(4)])[:, None]
+    f = basis.T
+    family = (f[ks, None] + phases * f[ls, None]) / np.sqrt(2.0)
+    vectors = np.concatenate([f, family.reshape(-1, d)])
+    return np.repeat(ks, 4), np.repeat(ls, 4), pure_outputs(channel, vectors)
 
 
 def _family_barycenter(proj_outs: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
@@ -169,7 +173,7 @@ def support_margins(
     ordered pairs; every entry must be >= -1e-9 for the dominance certificate.
     """
     basis = sd.basis_right
-    _, outs = _family_outputs(channel, basis)
+    outs = _family_outputs(channel, basis)[2]
     return _margins(outs, sigma, basis.shape[1])
 
 
@@ -220,7 +224,7 @@ def chain_report(
     v = _pure_vector(state, d)
     sd = schmidt_decompose(v, (d, d))
     alpha2 = np.pad(sd.coefficients**2, (0, d - sd.coefficients.size))
-    pairs, outs = _family_outputs(channel, sd.basis_right)
+    ks, ls, outs = _family_outputs(channel, sd.basis_right)
     proj_outs = outs[:d]
 
     sigma = _family_barycenter(proj_outs, alpha2)
@@ -241,7 +245,6 @@ def chain_report(
     # family weights: alpha_k^2 per basis output, and per superposition of the
     # pair (k, l) half the larger alpha^2 for the decomposed link, half the sum
     # for the entropy link
-    ks, ls = np.array(pairs).T
     decomposed_w = np.concatenate([alpha2, 0.5 * np.maximum(alpha2[ks], alpha2[ls])])
     entropy_w = np.concatenate([alpha2, 0.5 * (alpha2[ks] + alpha2[ls])])
     sigma_eig = hermitian_eig(sigma, atol=INPUT_TOL)

@@ -216,8 +216,13 @@ def eigensystem_log(eig: Eigensystem) -> np.ndarray:
 
 
 def log_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of a positive semidefinite matrix with floored eigenvalue logs."""
-    return eigensystem_log(clamped_eigh(m))
+    """Matrix logarithm of a positive semidefinite matrix with floored eigenvalue logs.
+
+    The floor subsumes the clamp: max(max(w, 0), LOG_FLOOR) = max(w, LOG_FLOOR),
+    so the eigenvalues go to ``floored_log`` unclamped, with the same bits.
+    """
+    w, v = np.linalg.eigh(m)
+    return spectral_matrix(v, floored_log(w))
 
 
 def log_divided_differences(w: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from chancap.capacity import (
     _ensemble_point,
     _ensemble_weights,
     _fit_ensemble,
+    _re_inner,
     _sphere_ascent,
 )
 from chancap.channels import pure_outputs as _batch_outputs
@@ -472,6 +474,60 @@ class TestInnerSolvers:
             vals, psi, _ = _sphere_ascent(chan, ln_sigma, starts)
             assert batches[:2] == [6, 6] and set(batches[2:]) == {1}
             assert np.all(vals == vals[0]) and np.all(psi == psi[0])
+
+    def test_round_inner_products_are_per_row(self):
+        # Re<a_i, b_i> of a row alone has the same bits as in a stack, and it
+        # agrees with the complex inner product of the row within rounding of
+        # the operands' scale |a_i| |b_i|, over rows of scales 1e-8 to 1e8
+        for din in range(1, 5):
+            g = seeded_rng(120, din)
+            scale = 10.0 ** g.integers(-8, 9, size=(12, 1))
+            a, b = (scale * (g.standard_normal((12, din)) + 1j * g.standard_normal((12, din)))
+                    for _ in range(2))
+            for x, y in ((a, b), (a, a), (a - b, b)):
+                got = _re_inner(x, y)
+                for i in range(len(x)):
+                    assert _re_inner(x[i : i + 1], y[i : i + 1])[0] == got[i]
+                    bound = 1e-15 * np.linalg.norm(x[i]) * np.linalg.norm(y[i])
+                    assert abs(got[i] - np.vdot(x[i], y[i]).real) <= bound
+
+    def test_ascent_kernel_batches_are_pinned(self, monkeypatch):
+        # the kernel batch sizes of one fixed ascent per shape, recorded with
+        # a round that merges every update under a mask: a round where every
+        # row passes Armijo takes the trial arrays whole, with the same steps
+        # and merges. Some rounds of the (2, 3) and (3, 2) ascents reject part
+        # of their rows, one round of the (3, 3) ascent rejects its one row,
+        # and every trial of the (2, 2) ascent passes
+        expected = {
+            (2, 2): [6, 6, 4, 2, 2, 1, 1, 1, 1],
+            (2, 3): [6, 6, 6, 4, 4, 1, 1, 1],
+            (3, 2): [6] * 6 + [5] * 4 + [4] * 2 + [3] * 7 + [2] + [1] * 16,
+            (3, 3): [6] * 6 + [5] * 2 + [3] * 4 + [1] * 9,
+        }
+        batches = []
+        fused = capacity_module._divergences_and_grads
+
+        def counted(channel, ln_sigma, states):
+            batches.append(len(states))
+            return fused(channel, ln_sigma, states)
+
+        monkeypatch.setattr(capacity_module, "_divergences_and_grads", counted)
+        for (din, dout), sizes in expected.items():
+            chan = random_channel(din, dout, seed=(110, din, dout))
+            ln_sigma = _log_matrix(random_density_matrix(dout, dout, (111, din, dout)))
+            g = seeded_rng(112, din, dout)
+            starts = g.standard_normal((6, din)) + 1j * g.standard_normal((6, din))
+            batches.clear()
+            _sphere_ascent(chan, ln_sigma, starts)
+            assert batches == sizes, (din, dout)
+
+    def test_restarts_below_one_raise(self):
+        chan = random_channel(2, 2, seed=1)
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts"):
+                max_output_divergence(chan, np.eye(2) / 2, restarts=restarts)
+            with pytest.raises(ValueError, match="restarts"):
+                holevo_quantity(chan, restarts=restarts)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(

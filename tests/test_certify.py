@@ -25,7 +25,8 @@ from chancap import (
     support_margins,
     verify_ratio_bound,
 )
-from chancap.certify import superposition_state
+from chancap.certify import _family_outputs, superposition_state
+from chancap.channels import pure_outputs
 from chancap.linalg import check_density_matrix, partial_trace
 from oracles import chain_by_loop
 
@@ -84,6 +85,18 @@ class TestSuperpositionFamily:
             assert k != l and 0 <= a < 4
             count += 1
         assert count == 3 * 2 * 4
+
+    def test_output_stack_matches_the_family_loop(self):
+        # the one-expression stack of basis vectors and superpositions gives
+        # the outputs of the public generator, in its order, bit for bit
+        for d in range(2, 6):
+            chan = random_channel(d, 3, seed=(17, d))
+            basis = schmidt_decompose(random_pure_state(d * d, (18, d)), (d, d)).basis_right
+            family = list(superposition_family(basis))
+            ks, ls, outs = _family_outputs(chan, basis)
+            expected = pure_outputs(chan, np.array([*basis.T, *(vec for _, vec in family)]))
+            assert np.array_equal(outs, expected)
+            assert [(k, l) for (k, l, _), _ in family] == list(zip(ks.tolist(), ls.tolist()))
 
 
 class TestOutputBarycenter:

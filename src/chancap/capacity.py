@@ -77,7 +77,9 @@ class CapacityEstimate:
     the concave gap certificate: both sound. For C_H the lower end is the
     mixture divergence of the ensemble (``witnesses``, ``weights``), sound,
     and the upper end is the best inner supremum found, heuristic, since
-    that inner problem is not concave.
+    that inner problem is not concave. Where the uniform ensemble over the
+    computational basis closes the gap at the first reference, that
+    ensemble is the certificate.
     """
 
     value_nats: float
@@ -632,14 +634,19 @@ def holevo_quantity(
     reported honestly. Ascent rows that close in on a higher row merge into
     it. An outer iteration runs the inner ascent and tests the gap; if it
     is still open, it adds witnesses, fits the ensemble and tests the gap
-    again. It adds the best row's state as a witness, and every other final
-    state that two or more rows ended in with a divergence above the best
-    lower bound, highest first, each unless it is within DUPLICATE_OVERLAP
-    of a witness. The new witnesses start at weight 1/n each (n witnesses in
-    all) and the others keep their weights, scaled to fill the rest; the
-    weights are solved to a gap of 0.02 tol. The returned ``witnesses`` and
-    ``weights`` are those of the fit that set the best lower bound, not of
-    the last fit (empty if the gap closed before any fit), and their
+    again. The first reference T(I/d) is the barycenter of the uniform
+    ensemble over the computational basis, which attains the minimax value
+    on unitarily covariant channels: after the first ascent that ensemble
+    is evaluated once, and it becomes the certificate if it closes the gap;
+    otherwise it is dropped. A fit adds the best row's state as a witness,
+    and every other final state that two or more rows ended in with a
+    divergence above the best lower bound, highest first, each unless it is
+    within DUPLICATE_OVERLAP of a witness. The new witnesses start at weight
+    1/n each (n witnesses in all) and the others keep their weights, scaled
+    to fill the rest; the weights are solved to a gap of 0.02 tol. The
+    returned ``witnesses`` and ``weights`` are those of the fit that set the
+    best lower bound, not of the last fit (the basis ensemble if it closed
+    the gap, empty if the ascent closed it alone), and their
     ``_ensemble_point`` reproduces that bound exactly (a single witness
     certifies 0 without a fit). ``restarts`` must be at least 1.
     """
@@ -648,7 +655,7 @@ def holevo_quantity(
     sigma = image_anchor
     witnesses = np.zeros((0, d), dtype=complex)
     weights = np.zeros(0)
-    certificate = witnesses, weights  # the ensemble of the fit that set chi_best
+    certificate = witnesses, weights  # the ensemble that set chi_best
     chi_best = 0.0
     value_best = float("inf")
     sigma_best = sigma
@@ -665,6 +672,11 @@ def holevo_quantity(
         if value < value_best:  # keep the best reference seen, not the last
             value_best = value
             sigma_best = sigma
+        if iterations == 1:  # T(I/d), the first reference, is the basis ensemble's barycenter
+            basis = np.eye(d, dtype=complex)
+            start = _ensemble_point(_alphabet(channel, basis), np.full(d, 1.0 / d))
+            if value_best - start.chi <= tol and start.chi >= chi_best:
+                chi_best, certificate = start.chi, (basis, start.weights)
         if value_best - chi_best <= tol:  # closed by the ascent: no fit needed
             break
         ended_in = np.bincount(partner, minlength=len(vals))  # rows that ended in each row

@@ -29,27 +29,14 @@ from chancap import (
 from chancap.capacity import LN2
 from chancap.entropy import mutual_information as _mutual_information_nats
 from oracles import (
+    depolarizing_ce_nats,
+    depolarizing_ch_nats,
     donald_residual,
     log_derivative_form_via_quadrature,
     relative_entropy_via_integral,
 )
 
 import pytest
-
-
-def binary_entropy_bits(x):
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def depolarizing_assisted_bits(p):
-    eigs = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
-    return 2.0 + sum(x * math.log2(x) for x in eigs if x > 0)
-
-
-def depolarizing_holevo_bits(p):
-    return 1.0 - binary_entropy_bits(p / 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +69,8 @@ def test_criterion_1_depolarizing_anchors(sweep_result):
 
 def test_criterion_2_depolarizing_closed_forms(sweep_result):
     rows, _ = sweep_result
-    worst_ce = max(abs(r.ce_bits - depolarizing_assisted_bits(r.p)) for r in rows)
-    worst_ch = max(abs(r.ch_bits - depolarizing_holevo_bits(r.p)) for r in rows)
+    worst_ce = max(abs(r.ce_bits - depolarizing_ce_nats(2, r.p) / LN2) for r in rows)
+    worst_ch = max(abs(r.ch_bits - depolarizing_ch_nats(2, r.p) / LN2) for r in rows)
     assert worst_ce <= 1e-3
     assert worst_ch <= 1e-3
     print(

@@ -38,32 +38,26 @@ from chancap.capacity import (
     _re_inner,
     _sphere_ascent,
 )
+from chancap.channels import depolarizing_cp_limit
 from chancap.channels import pure_outputs as _batch_outputs
 from chancap.entropy import mutual_information as _mutual_information_nats
 from chancap.linalg import log_matrix as _log_matrix
-from oracles import divergences_and_grads_by_einsum
-
-# closed forms for the depolarizing family, derived independently of the solvers:
-# the assisted value comes from the maximally mixed input (the covariant
-# average of any maximizer is again a maximizer, and averaging cannot lower a
-# concave objective), with the joint spectrum (1-3p/4, p/4, p/4, p/4); the
-# unassisted lower-bound value comes from the antipodal two-state ensemble,
-# which meets the minimax value at the maximally mixed reference.
-
-
-def binary_entropy_bits(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+from oracles import (
+    depolarizing_ce_nats,
+    depolarizing_ch_nats,
+    divergences_and_grads_by_einsum,
+    erasure_channel,
+    erasure_ch_nats,
+    werner_holevo_ch_nats,
+    werner_holevo_channel,
+)
 
 
-def depolarizing_assisted_bits(d: int, p: float) -> float:
-    eigs = [1 - p + p / d**2] + [p / d**2] * (d * d - 1)
-    return 2 * math.log2(d) + sum(x * math.log2(x) for x in eigs if x > 0)
-
-
-def depolarizing_holevo_bits(p: float) -> float:
-    return 1.0 - binary_entropy_bits(p / 2.0)
+def amplitude_damping_channel(gamma: float) -> QuantumChannel:
+    """Qubit amplitude damping: |1> decays to |0> with probability gamma."""
+    decay = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
+    jump = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    return QuantumChannel(np.stack([decay, jump]))
 
 
 def random_traceless_direction(dim, seed):
@@ -84,7 +78,7 @@ class TestAssistedCapacity:
     def test_depolarizing_grid_matches_closed_form(self):
         for p in np.linspace(0.0, 4.0 / 3.0, 9):
             est = entanglement_assisted_capacity(depolarizing_channel(2, float(p)))
-            assert abs(est.value_bits - depolarizing_assisted_bits(2, float(p))) < 1e-4
+            assert abs(est.value_bits - depolarizing_ce_nats(2, float(p)) / LN2) < 1e-4
 
     def test_estimate_invariants(self):
         est = entanglement_assisted_capacity(random_channel(2, 3, seed=1))
@@ -231,7 +225,7 @@ class TestHolevoQuantity:
     def test_depolarizing_grid_matches_closed_form(self):
         for p in np.linspace(0.0, 4.0 / 3.0, 9):
             est = holevo_quantity(depolarizing_channel(2, float(p)))
-            assert abs(est.value_bits - depolarizing_holevo_bits(float(p))) < 1e-3
+            assert abs(est.value_bits - depolarizing_ch_nats(2, float(p)) / LN2) < 1e-3
 
     def test_witnesses_reported(self):
         est = holevo_quantity(random_channel(2, 2, seed=8), seed=9)
@@ -248,12 +242,12 @@ class TestHolevoQuantity:
             ce = entanglement_assisted_capacity(chan)
             assert -1e-6 <= ce.value_bits <= 2 * math.log2(min(din, dout)) + 1e-6
 
-    def test_covariant_channels_add_only_the_best_row(self):
-        # at the maximally mixed reference no sphere-ascent row of a
-        # depolarizing channel moves or merges, so each outer iteration adds
-        # only the best row; iterations, witnesses and the value are those of
-        # the one-witness-per-iteration solver
-        for d, n, value in ((2, 2, 0.13081203594113716), (3, 3, 0.23104906018664892)):
+    def test_covariant_channels_stop_at_the_basis_ensemble(self):
+        # the first reference T(I/d) of a depolarizing channel is optimal and
+        # the uniform ensemble over the computational basis, whose barycenter
+        # it is, attains the minimax value: that ensemble closes the gap after
+        # the first inner ascent and is returned as the certificate
+        for d, value in ((2, 0.13081203594113716), (3, 0.23104906018664892)):
             est = holevo_quantity(
                 depolarizing_channel(d, 0.5),
                 tol=SWEEP_TOL,
@@ -261,8 +255,54 @@ class TestHolevoQuantity:
                 max_iter=SWEEP_MAX_ITER,
                 seed=0,
             )
-            assert est.converged and est.iterations == n and len(est.witnesses) == n
+            assert est.converged and est.stop_reason == "gap" and est.iterations == 1
+            assert np.array_equal(est.witnesses, np.eye(d))
+            assert np.array_equal(est.weights, np.full(d, 1.0 / d))
             assert est.value_nats == value
+
+    def test_exact_families_close_at_the_first_reference(self):
+        # on these unitarily covariant channels the basis ensemble certifies
+        # the closed form to rounding, from below, in one outer iteration
+        cases = [
+            (depolarizing_channel(d, p), depolarizing_ch_nats(d, p))
+            for d in (2, 3, 4)
+            for p in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0, depolarizing_cp_limit(d))
+        ]
+        cases += [(werner_holevo_channel(d), werner_holevo_ch_nats(d)) for d in (2, 3, 4)]
+        cases += [
+            (erasure_channel(d, eps), erasure_ch_nats(d, eps))
+            for d in (2, 3)
+            for eps in (0.0, 0.3, 0.7, 1.0)
+        ]
+        for chan, exact in cases:
+            for tol in (1e-7, 1e-10):
+                for seed in (0, 3):
+                    est = holevo_quantity(chan, tol=tol, seed=seed)
+                    case = (chan.d_in, chan.d_out, exact, tol, seed, est)
+                    assert est.converged and est.iterations == 1, case
+                    assert est.lower_nats - 4e-15 <= exact <= est.upper_nats + 4e-15, case
+
+    def test_solves_the_basis_does_not_close_are_unchanged(self):
+        # where the basis ensemble leaves the gap open it is dropped, and the
+        # solve runs as it would without it, to the last bit: one criterion-5
+        # channel per shape and amplitude damping. Kept as the lower bound
+        # instead, the open-gap basis ensemble changes the witnesses and
+        # iterations of the (2, 2), (2, 3) and (3, 3) solves
+        expected = {
+            (0, 45): (2, 0.14151822234372133, 0.1415182229652722, 2),
+            (1, 19): (2, 0.16567448439766677, 0.16567448589400416, 2),
+            (2, 5): (5, 0.30887444164929156, 0.30887446756941817, 5),
+            (3, 23): (3, 0.2521320843680515, 0.2521321729048122, 6),
+        }
+        for (index, trial), fields in expected.items():
+            dims = [(2, 2), (2, 3), (3, 2), (3, 3)][index]
+            chan = random_channel(*dims, seed=(6000 + index, trial))
+            est = holevo_quantity(chan, tol=1e-7, seed=(7000 + index, trial))
+            got = (est.iterations, est.lower_nats, est.upper_nats, len(est.witnesses))
+            assert got == fields, (index, trial, got)
+        est = holevo_quantity(amplitude_damping_channel(0.3))
+        got = (est.iterations, est.lower_nats, est.upper_nats, len(est.witnesses))
+        assert got == (2, 0.4424559884037814, 0.44245598840378186, 6)
 
     def test_gap_is_tested_before_and_after_each_fit(self, monkeypatch):
         fits = []
@@ -278,12 +318,11 @@ class TestHolevoQuantity:
         est = holevo_quantity(random_channel(2, 2, seed=(6000, 0)), tol=1e-7, seed=(7000, 0))
         assert est.converged and est.iterations >= 2 and len(fits) == est.iterations - 1
         # at the maximally mixed reference of a depolarizing channel every
-        # input is optimal, so only a fit raising the lower bound closes the
-        # gap. The first outer iteration adds one witness, which certifies 0
-        # without a fit; the fit of the second closes the gap
+        # input is optimal, and the uniform basis ensemble closes the gap
+        # after the first inner ascent, before any fit
         fits.clear()
         est = holevo_quantity(depolarizing_channel(2, 0.5), tol=SWEEP_TOL, seed=0)
-        assert est.converged and est.iterations == 2 and len(fits) == 1
+        assert est.converged and est.iterations == 1 and len(fits) == 0
 
     def test_returned_ensemble_certifies_the_lower_bound(self):
         # chi rebuilt from the returned witnesses and weights is the reported

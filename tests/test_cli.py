@@ -95,6 +95,7 @@ class TestCapacityCommand:
         header, row = res.stdout.strip().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert record["ce_stop_reason"] == record["ch_stop_reason"] == "gap"
+        assert record["ch_iterations"] == "1"  # the basis ensemble closes the first ascent's gap
 
 
 class TestVerifyRatioCommand:

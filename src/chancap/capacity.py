@@ -9,9 +9,9 @@ sphere ascent (inner supremum; Armijo steps started from Barzilai-Borwein
 step lengths) with barycenter updates of the reference state over an
 accumulated witness ensemble whose positions and weights are improved
 monotonically in the certified lower bound; the position sweeps also start
-their line searches from Barzilai-Borwein steps. The weights come from damped
-Newton steps on the optimality conditions over a Caratheodory-reduced support,
-with a Frank-Wolfe step where Newton fails.
+their line searches from Barzilai-Borwein steps. The weights come from Newton
+steps on the optimality conditions, damped by the gap (Levenberg-Marquardt)
+and backtracked on the simplex.
 
 Both ascents take a trial point's value and gradient from one
 eigendecomposition of each of its matrices (the outputs of the sphere
@@ -56,7 +56,6 @@ MAX_MOVE = 1e3  # bound on an ascent move, step * |tangent|: flat objectives ste
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
 GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
-MIN_START_WEIGHT = 1e-16  # warm-start weights are raised to at least this
 POSITION_SWEEPS = 6  # witness-position ascent sweeps per outer iteration of the Holevo solver
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope
 DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
@@ -394,20 +393,16 @@ def max_output_divergence(
 
 
 class _Alphabet(NamedTuple):
-    """The outputs T(psi_i psi_i*) of a witness stack, their self terms
-    tr(out_i ln out_i), and the Caratheodory bound min(d_in, d_out)^2: the
-    outputs of a channel lie in an affine space of dimension at most
-    min(d_in^2, d_out^2) - 1, so more of them than the bound are affinely
-    dependent."""
+    """The outputs T(psi_i psi_i*) of a witness stack and their self terms
+    tr(out_i ln out_i)."""
 
     outs: np.ndarray
     self_terms: np.ndarray
-    max_support: int
 
 
 def _alphabet(channel: QuantumChannel, witnesses: np.ndarray) -> _Alphabet:
     outs = pure_outputs(channel, witnesses)
-    return _Alphabet(outs, trace_xlogx(outs), min(channel.d_in, channel.d_out) ** 2)
+    return _Alphabet(outs, trace_xlogx(outs))
 
 
 class _EnsemblePoint(NamedTuple):
@@ -447,16 +442,15 @@ def _move_to_boundary(weights, support, delta, step_max) -> np.ndarray:
     return q / q.sum()
 
 
-def _weight_newton_step(outs: np.ndarray, point: _EnsemblePoint) -> np.ndarray:
-    """One Newton step towards D_i = chi on the support of the point's weights.
+def _newton_trials(alphabet: _Alphabet, point: _EnsemblePoint):
+    """Trial weights of one damped Newton step towards D_i = chi, longest first.
 
-    The output with the largest D_i joins the support if it is outside. The
-    divergences are linearized with the Hessian of -tr(avg ln avg), built
-    from the divided differences of ln over the spectrum of the point's
-    barycenter, and the equality-constrained system is solved in the
-    least-squares sense. A step that would push a weight below zero stops
-    where the first one reaches zero, which drops that output from the
-    support.
+    The step is solved on the support of the point's weights plus the output
+    with the largest D_i, from the bordered system of the Hessian of
+    -tr(avg ln avg) (divided differences of ln over the barycenter's
+    spectrum) shifted by -gap I: Levenberg-Marquardt damping by the residual,
+    which bounds the step where affinely dependent outputs make the Hessian
+    singular. It is halved from 1 to STEP_FLOOR through ``_move_to_boundary``.
     """
     weights, dvals = point.weights, point.dvals
     support = np.flatnonzero(weights > WEIGHT_FLOOR)
@@ -464,98 +458,42 @@ def _weight_newton_step(outs: np.ndarray, point: _EnsemblePoint) -> np.ndarray:
     if weights[worst] <= WEIGHT_FLOOR:
         support = np.append(support, worst)
     lam, v = point.eig
-    rot = v.conj().T @ outs[support] @ v
+    rot = v.conj().T @ alphabet.outs[support] @ v
     hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, log_divided_differences(lam)).real
     n = support.size
     kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = hess
+    kkt[:n, :n] = hess - point.gap * np.eye(n)
     kkt[n, n] = 0.0
     delta = np.linalg.lstsq(kkt, np.append(-dvals[support], 0.0), rcond=None)[0][:n]
-    return _move_to_boundary(weights, support, delta, 1.0)
-
-
-def _frank_wolfe_step(
-    alphabet: _Alphabet, point: _EnsemblePoint, tol: float
-) -> _EnsemblePoint | None:
-    """The point at weights (1 - t) p + t e_worst, a step towards the output
-    with the largest D_i along which chi rises at the rate of the gap, or
-    None where no step is found.
-
-    t is halved from 1 until Armijo holds. Below STEP_FLOOR, chi moves by
-    O(gap^2), under rounding, but its slope D(q_t) @ (e_worst - p) along the
-    step is O(gap): t is then bisected on that slope's sign in (0, hi), hi
-    the smallest t tried where chi does not rise, until a gap is at most
-    ``tol`` or rounding pins t. The point of lowest gap met is taken if its
-    gap is below the start's; its chi is the line's maximum up to rounding.
-    """
-    p = point.weights
-    e_worst = np.zeros_like(p)
-    e_worst[np.argmax(point.dvals)] = 1.0
-    toward = e_worst - p
-    t = hi = 1.0
-    while t >= STEP_FLOOR:
-        trial = _ensemble_point(alphabet, (1.0 - t) * p + t * e_worst)
-        if trial.chi >= point.chi + ARMIJO * t * point.gap:
-            return trial
-        if trial.dvals @ toward <= 0.0:
-            hi = t
-        t /= 2.0
-    lo, found = 0.0, None
-    while lo < (t := (lo + hi) / 2.0) < hi:
-        trial = _ensemble_point(alphabet, (1.0 - t) * p + t * e_worst)
-        if trial.gap < (found or point).gap:
-            found = trial
-        if trial.gap <= tol:
-            break
-        lo, hi = (t, hi) if trial.dvals @ toward > 0.0 else (lo, t)
-    return found
+    step = 1.0
+    while step >= STEP_FLOOR:
+        yield _move_to_boundary(weights, support, delta, step)
+        step /= 2.0
 
 
 def _ensemble_weights(alphabet: _Alphabet, tol: float, init: np.ndarray) -> _EnsemblePoint:
     """Optimal weights over a fixed output alphabet, as their point.
 
-    Maximizes the mixture divergence chi (the restricted-alphabet capacity in
-    nats) from the weights ``init``, raised to at least MIN_START_WEIGHT,
-    until the optimality gap max_i D_i - chi is at most ``tol``, by up to
-    NEWTON_STEPS damped Newton steps on D_i = chi. Each trial point is one
-    ``_ensemble_point``, from one eigendecomposition of its barycenter. More
-    than ``alphabet.max_support`` = min(d_in, d_out)^2 outputs are affinely
-    dependent and make the Newton system singular, so such a support is
-    first cut by a Caratheodory step: along a null vector z of the stacked
-    [Re vec(out_i); Im vec(out_i); 1] the barycenter and the D_i stay fixed
-    and chi is linear with slope z @ self_terms, so the weights move uphill
-    until the first one is zero.
-    That point is kept if its chi is not lower. A Newton step, halved up to
-    4 times, is kept if its chi is above the start's and it lowers the gap or
-    raises chi. If all five are rejected, a Frank-Wolfe step towards the
-    output with the largest D_i is taken (``_frank_wolfe_step``); the solve
-    stops where it finds none.
+    Maximizes the mixture divergence chi from the normalized ``init`` by up
+    to NEWTON_STEPS damped Newton steps (``_newton_trials``) until the gap
+    max_i D_i - chi is at most ``tol``. A trial, one ``_ensemble_point``, is
+    taken if its chi is at least the start's and it either raises chi by
+    ARMIJO times the first-order gain D @ (w' - w) or lowers the gap, since
+    near the optimum chi moves by O(gap^2), below rounding. The solve stops
+    where no trial is taken.
     """
-    p = np.clip(init, MIN_START_WEIGHT, None)
-    point = _ensemble_point(alphabet, p / p.sum())
-    chi_start = point.chi
+    point = start = _ensemble_point(alphabet, init / init.sum())
     for _ in range(NEWTON_STEPS):
         if point.gap <= tol:
             break
-        support = np.flatnonzero(point.weights > WEIGHT_FLOOR)
-        if support.size > alphabet.max_support:
-            flat = alphabet.outs[support].reshape(support.size, -1)
-            z = np.linalg.svd(np.vstack([flat.real.T, flat.imag.T, np.ones(support.size)]))[2][-1]
-            z = z if z @ alphabet.self_terms[support] >= 0.0 else -z
-            trial = _ensemble_point(alphabet, _move_to_boundary(point.weights, support, z, np.inf))
-            if trial.chi >= point.chi:
-                point = trial
-        direction = _weight_newton_step(alphabet.outs, point) - point.weights
-        for shrink in (1.0, 2.0, 4.0, 8.0, 16.0):
-            trial = _ensemble_point(alphabet, point.weights + direction / shrink)
-            if trial.chi > chi_start and (trial.gap < point.gap or trial.chi > point.chi):
+        for weights in _newton_trials(alphabet, point):
+            trial = _ensemble_point(alphabet, weights)
+            rises = trial.chi >= point.chi + ARMIJO * (point.dvals @ (weights - point.weights))
+            if trial.chi >= start.chi and (rises or trial.gap < point.gap):
                 point = trial
                 break
         else:
-            step = _frank_wolfe_step(alphabet, point, tol)
-            if step is None:
-                break
-            point = step
+            break
     return point
 
 

@@ -26,7 +26,6 @@ from chancap import (
 from chancap.capacity import (
     GRAD_TOL_RANGE,
     LN2,
-    MIN_START_WEIGHT,
     SUP_RESTARTS,
     SWEEP_MAX_ITER,
     SWEEP_TOL,
@@ -289,10 +288,10 @@ class TestHolevoQuantity:
         # instead, the open-gap basis ensemble changes the witnesses and
         # iterations of the (2, 2), (2, 3) and (3, 3) solves
         expected = {
-            (0, 45): (2, 0.14151822234372133, 0.1415182229652722, 2),
-            (1, 19): (2, 0.16567448439766677, 0.16567448589400416, 2),
-            (2, 5): (5, 0.30887444164929156, 0.30887446756941817, 5),
-            (3, 23): (3, 0.2521320843680515, 0.2521321729048122, 6),
+            (0, 45): (2, 0.14151822234372097, 0.14151822245876827, 2),
+            (1, 19): (2, 0.16567448439766533, 0.16567448589401296, 2),
+            (2, 5): (4, 0.30887444172175105, 0.30887446756942966, 6),
+            (3, 23): (3, 0.2521320831601837, 0.2521321716498285, 6),
         }
         for (index, trial), fields in expected.items():
             dims = [(2, 2), (2, 3), (3, 2), (3, 3)][index]
@@ -302,7 +301,7 @@ class TestHolevoQuantity:
             assert got == fields, (index, trial, got)
         est = holevo_quantity(amplitude_damping_channel(0.3))
         got = (est.iterations, est.lower_nats, est.upper_nats, len(est.witnesses))
-        assert got == (2, 0.4424559884037814, 0.44245598840378186, 6)
+        assert got == (2, 0.44245598840378153, 0.44245598957971505, 6)
 
     def test_gap_is_tested_before_and_after_each_fit(self, monkeypatch):
         fits = []
@@ -366,6 +365,33 @@ class TestHolevoQuantity:
             chan = random_channel(*dims, seed=channel_seed)
             est = holevo_quantity(chan, tol=1e-10, seed=solver_seed, max_iter=200)
             assert est.converged, (dims, channel_seed, est.iterations, est.gap_bound)
+
+    def test_tight_tolerance_tail_channel_converges_at_every_seed(self):
+        # this criterion-5 channel took 34, 125 and 57 outer iterations at tol
+        # 1e-10 while its six-witness weight solves ended with the gap open
+        # at 2e-3 and more, and the next fit re-earned the chi that was lost
+        chan = random_channel(2, 3, seed=(6001, 5))
+        for base in (7000, 9000, 11000):
+            est = holevo_quantity(chan, tol=1e-10, seed=(base + 1, 5), max_iter=200)
+            assert est.converged and est.iterations <= 15, (base, est.iterations)
+
+    def test_no_fit_ends_below_an_earlier_fit(self, monkeypatch):
+        # every fit starts from the weights of the previous one, scaled to make
+        # room for the new witnesses, so the earlier ensemble stays reachable;
+        # 26 of the 33 fits of this solve ended below the best earlier chi
+        # while the weight solves were left open
+        chis = []
+        fit = capacity_module._fit_ensemble
+
+        def recorded(*args):
+            witnesses, alphabet, point = fit(*args)
+            assert not chis or point.chi >= max(chis), (len(chis), point.chi, max(chis))
+            chis.append(point.chi)
+            return witnesses, alphabet, point
+
+        monkeypatch.setattr(capacity_module, "_fit_ensemble", recorded)
+        est = holevo_quantity(random_channel(2, 3, seed=(6001, 5)), tol=1e-10, seed=(7001, 5))
+        assert est.converged and len(chis) >= 2
 
 
 class TestInnerSolvers:
@@ -653,9 +679,10 @@ class TestInnerSolvers:
 
     def test_ensemble_weights_step_towards_the_worst_output_when_newton_fails(self):
         # a warm start met in a C_H solve of a criterion-5 qubit channel (dims
-        # index 0, trial 11) with two near-twin witnesses: all five Newton
-        # shrinks are rejected at a gap of 2.5e-3, where a solve that stopped
-        # there returned the chi and gap below; the Frank-Wolfe steps go on
+        # index 0, trial 11) with two near-twin witnesses: undamped Newton
+        # steps, halved up to four times, were all rejected at a gap of 2.5e-3,
+        # where a solve that stopped there returned the chi and gap below; the
+        # damped steps pass whole and close the gap
         chan = random_channel(2, 2, seed=(6000, 11))
         states = np.array(
             [
@@ -677,10 +704,10 @@ class TestInnerSolvers:
 
     def test_ensemble_weights_bisect_the_frank_wolfe_step_at_rounding_level(self):
         # the warm start of a stalled two-witness solve (criterion-5 channel
-        # (2, 3), trial 16, at tol 1e-10): Newton is rejected, and Armijo fails
-        # down to STEP_FLOOR because chi moves by O(gap^2) there, below
-        # rounding. A solve that stopped there kept a gap of 5.7e-9; the
-        # bisection on the sign of chi's slope along the step closes it
+        # (2, 3), trial 16, at tol 1e-10): chi moves by O(gap^2) there, below
+        # rounding, so Armijo on chi alone is a coin toss. A solve that stopped
+        # there kept a gap of 5.7e-9; the damped steps also take a trial that
+        # lowers the gap while chi stays at least the start's, and close it
         chan = random_channel(2, 3, seed=(6001, 16))
         states = np.array(
             [
@@ -697,15 +724,14 @@ class TestInnerSolvers:
         assert chi == float(weights @ dvals)
         assert dvals.max() - chi <= 2e-12
 
-    def test_caratheodory_bound_comes_from_the_input_dimension(self):
+    def test_ensemble_weights_close_five_affinely_dependent_outputs(self):
         # outputs of qubit inputs span an affine space of dimension at most 3,
-        # so 5 of them are affinely dependent whatever d_out is. The third fit
-        # of criterion-5 channel (2, 3), trial 31, at tol 1e-7 (solver seed
-        # (7001, 31)) starts from these five witnesses; with the bound taken
-        # from d_out^2 = 9, its weight solve left a gap of 4.0e-5
-        for (din, dout), bound in (((2, 3), 4), ((3, 2), 4), ((3, 3), 9), ((2, 4), 4)):
-            chan = random_channel(din, dout, seed=0)
-            assert _alphabet(chan, np.eye(din, dtype=complex)).max_support == bound
+        # so 5 of them are affinely dependent whatever d_out is, and the
+        # Hessian of the weight solve is singular. The third fit of
+        # criterion-5 channel (2, 3), trial 31, at tol 1e-7 (solver seed
+        # (7001, 31)) starts from these five witnesses; an undamped Newton
+        # solve that cut the support only above d_out^2 = 9 outputs left a
+        # gap of 4.0e-5
         chan = random_channel(2, 3, seed=(6001, 31))
         states = np.array(
             [
@@ -744,8 +770,7 @@ class TestInnerSolvers:
         init = g.exponential(size=m) * (g.random(m) < 0.7)
         if not init.any():
             init[0] = 1.0
-        start = np.clip(init, MIN_START_WEIGHT, None)
-        start /= start.sum()
+        start = init / init.sum()
         weights, chi = _ensemble_weights(alphabet, tol, init)[:2]
         assert chi == float(weights @ _ensemble_point(alphabet, weights).dvals)
         assert chi >= _ensemble_point(alphabet, start).chi

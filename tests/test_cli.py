@@ -11,12 +11,28 @@ from chancap.cli import build_parser, main
 
 
 def run_cli(*args, timeout=300):
+    """``python -m chancap.cli`` in a fresh process."""
     return subprocess.run(
         [sys.executable, "-m", "chancap.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
     )
+
+
+def run_main(capsys, *args):
+    """``main(args)`` in this process, with its exit code and output as ``run_cli`` has them."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
+def usage_error(capsys, *args) -> str:
+    """The stderr of a command line that argparse rejects, which exits with code 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 1
+    return capsys.readouterr().err
 
 
 @pytest.fixture
@@ -36,35 +52,35 @@ class TestCapacityCommand:
         assert record["ce_converged"] and record["ch_converged"]
         assert record["ce_stop_reason"] == record["ch_stop_reason"] == "gap"
 
-    def test_fully_depolarizing_named(self):
-        res = run_cli("capacity", "--named", "depolarizing:d=2,p=1", "--format", "json")
+    def test_fully_depolarizing_named(self, capsys):
+        res = run_main(capsys, "capacity", "--named", "depolarizing:d=2,p=1", "--format", "json")
         assert res.returncode == 0
         record = json.loads(res.stdout)
         assert abs(record["ce_bits"]) < 1e-6 and abs(record["ch_bits"]) < 1e-6
         assert record["ratio"] == "undefined"
 
-    def test_corrupt_kraus_shape(self, tmp_path):
+    def test_corrupt_kraus_shape(self, tmp_path, capsys):
         payload = json.loads(channel_to_json(identity_channel(2)))
         payload["kraus"][0] = payload["kraus"][0][:1]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        res = run_cli("capacity", str(bad))
+        res = run_main(capsys, "capacity", str(bad))
         assert res.returncode == 1
         assert "2x2" in res.stderr
 
-    def test_malformed_json_reports_position(self, tmp_path):
+    def test_malformed_json_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"d_in": 2,\n  broken')
-        res = run_cli("capacity", str(bad))
+        res = run_main(capsys, "capacity", str(bad))
         assert res.returncode == 1
         assert "line" in res.stderr and "column" in res.stderr
 
-    def test_non_trace_preserving_rejected(self, tmp_path):
+    def test_non_trace_preserving_rejected(self, tmp_path, capsys):
         payload = json.loads(channel_to_json(identity_channel(2)))
         payload["kraus"][0][0][0] = [0.5, 0.0]
         bad = tmp_path / "tp.json"
         bad.write_text(json.dumps(payload))
-        res = run_cli("capacity", str(bad))
+        res = run_main(capsys, "capacity", str(bad))
         assert res.returncode == 1
         assert "trace preserving" in res.stderr
         # files are held to INPUT_TOL: a trace deviation of 5e-8 is rejected, 5e-9 is not
@@ -73,8 +89,8 @@ class TestCapacityCommand:
             bad.write_text(json.dumps(payload))
             assert main(["chain", str(bad)]) == code
 
-    def test_missing_channel(self):
-        res = run_cli("capacity")
+    def test_missing_channel(self, capsys):
+        res = run_main(capsys, "capacity")
         assert res.returncode == 1
 
     def test_non_convergence_exit_code(self):
@@ -89,8 +105,8 @@ class TestCapacityCommand:
         for side in ("ce", "ch"):
             assert (record[f"{side}_stop_reason"] == "gap") == record[f"{side}_converged"]
 
-    def test_csv_reports_why_each_solver_stopped(self):
-        res = run_cli("capacity", "--named", "depolarizing:d=2,p=0.5")
+    def test_csv_reports_why_each_solver_stopped(self, capsys):
+        res = run_main(capsys, "capacity", "--named", "depolarizing:d=2,p=0.5")
         assert res.returncode == 0
         header, row = res.stdout.strip().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
@@ -99,9 +115,9 @@ class TestCapacityCommand:
 
 
 class TestVerifyRatioCommand:
-    def test_small_fuzz_run(self):
-        res = run_cli(
-            "verify-ratio", "--trials", "5", "--din", "2", "--dout", "2", "--jobs", "1"
+    def test_small_fuzz_run(self, capsys):
+        res = run_main(
+            capsys, "verify-ratio", "--trials", "5", "--din", "2", "--dout", "2", "--jobs", "1"
         )
         assert res.returncode == 0
         lines = res.stdout.strip().splitlines()
@@ -113,15 +129,15 @@ class TestVerifyRatioCommand:
         args = ("verify-ratio", "--trials", "2", "--seed", "7", "--jobs", "1")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
-    def test_dimension_one_trivial(self):
-        res = run_cli("verify-ratio", "--trials", "2", "--din", "1", "--dout", "2")
+    def test_dimension_one_trivial(self, capsys):
+        res = run_main(capsys, "verify-ratio", "--trials", "2", "--din", "1", "--dout", "2")
         assert res.returncode == 0
         assert "trivially" in res.stdout
 
 
 class TestVerifySandwichCommand:
-    def test_fuzz_run(self):
-        res = run_cli("verify-sandwich", "--trials", "100", "--din", "4", "--jobs", "1")
+    def test_fuzz_run(self, capsys):
+        res = run_main(capsys, "verify-sandwich", "--trials", "100", "--din", "4", "--jobs", "1")
         assert res.returncode == 0
         assert "max_violation_nats" in res.stdout
         rows = dict(
@@ -132,25 +148,25 @@ class TestVerifySandwichCommand:
 
 
 class TestChainCommand:
-    def test_maximally_entangled_default(self):
-        res = run_cli("chain", "--named", "identity:d=2")
+    def test_maximally_entangled_default(self, capsys):
+        res = run_main(capsys, "chain", "--named", "identity:d=2")
         assert res.returncode == 0
         assert "monotone_ok,True" in res.stdout
         assert "support_margins" in res.stdout
 
-    def test_constant_channel_zero_head(self):
-        res = run_cli("chain", "--named", "depolarizing:d=2,p=1")
+    def test_constant_channel_zero_head(self, capsys):
+        res = run_main(capsys, "chain", "--named", "depolarizing:d=2,p=1")
         assert res.returncode == 0
         head = [l for l in res.stdout.splitlines() if l.startswith("mutual_info")][0]
         assert abs(float(head.split(",")[1])) < 1e-9
 
-    def test_random_state_deterministic(self):
+    def test_random_state_deterministic(self, capsys):
         args = ("chain", "--named", "random:din=2,dout=2,seed=3", "--state", "random:5")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+        assert run_main(capsys, *args).stdout == run_main(capsys, *args).stdout
 
-    def test_mixed_state_rejected(self):
+    def test_mixed_state_rejected(self, capsys):
         quarter = json.dumps(np.eye(4).tolist())
-        res = run_cli("chain", "--named", "identity:d=2", "--state", quarter)
+        res = run_main(capsys, "chain", "--named", "identity:d=2", "--state", quarter)
         assert res.returncode == 1
         assert "pure state required" in res.stderr
 
@@ -167,26 +183,26 @@ class TestChainCommand:
         assert seen["tol"] == 1e-5
         assert "monotone_ok,True" in capsys.readouterr().out
 
-    def test_non_numeric_state_rejected(self):
+    def test_non_numeric_state_rejected(self, capsys):
         for spec in ('{"a": 1}', '[{"a": 1}, 0, 0, 0]'):
-            res = run_cli("chain", "--named", "identity:d=2", "--state", spec)
+            res = run_main(capsys, "chain", "--named", "identity:d=2", "--state", spec)
             assert res.returncode == 1
             assert res.stderr.startswith("error: --state must be a JSON array of numbers")
             assert "Traceback" not in res.stderr
         # a bad random seed and a spec that is no JSON also name the flag
         for spec in ("random:abc", "random:-1", "nope"):
-            res = run_cli("chain", "--named", "identity:d=2", "--state", spec)
+            res = run_main(capsys, "chain", "--named", "identity:d=2", "--state", spec)
             assert res.returncode == 1
             assert res.stderr.startswith("error: --state ")
             assert "Traceback" not in res.stderr
 
 
 class TestSweepCommand:
-    def test_small_sweep_with_svg(self, tmp_path):
+    def test_small_sweep_with_svg(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         svg = tmp_path / "sweep.svg"
-        res = run_cli(
-            "sweep", "--points", "5", "--out", str(out), "--svg", str(svg), "--jobs", "1"
+        res = run_main(
+            capsys, "sweep", "--points", "5", "--out", str(out), "--svg", str(svg), "--jobs", "1"
         )
         assert res.returncode == 0
         lines = out.read_text().strip().splitlines()
@@ -203,8 +219,8 @@ class TestSweepCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
-    def test_unwritable_output(self):
-        res = run_cli("sweep", "--points", "3", "--out", "/nonexistent/dir/x.csv")
+    def test_unwritable_output(self, capsys):
+        res = run_main(capsys, "sweep", "--points", "3", "--out", "/nonexistent/dir/x.csv")
         assert res.returncode == 1
 
     def test_in_process_entry_point(self, tmp_path, capsys):
@@ -239,10 +255,9 @@ class TestConfigValidation:
     def test_nonpositive_tolerance(self, capsys):
         for argv in (("verify-ratio", "--trials", "1"), ("capacity", "--named", "identity:d=2")):
             for tol in ("0", "inf", "nan"):
-                res = run_cli(*argv, "--tol", tol)
-                assert res.returncode == 1
-                assert "tol" in res.stderr
-                assert "argument --tol" in res.stderr
+                err = usage_error(capsys, *argv, "--tol", tol)
+                assert "tol" in err
+                assert "argument --tol" in err
         with pytest.raises(SystemExit) as exc:
             main(["capacity", "--named", "identity:d=2", "--tol", "inf"])
         assert exc.value.code == 1
@@ -254,23 +269,20 @@ class TestConfigValidation:
             assert main(argv) == 0
             assert capsys.readouterr().out == run_cli(*argv).stdout
 
-    def test_zero_trials(self):
-        res = run_cli("verify-sandwich", "--trials", "0")
-        assert res.returncode == 1
+    def test_zero_trials(self, capsys):
+        usage_error(capsys, "verify-sandwich", "--trials", "0")
         for flag in ("--din", "--dout", "--max-iter", "--restarts", "--trials", "--jobs"):
-            res = run_cli("verify-ratio", flag, "0")
-            assert res.returncode == 1
-            assert f"argument {flag}" in res.stderr
+            err = usage_error(capsys, "verify-ratio", flag, "0")
+            assert f"argument {flag}" in err
         # counts past sys.maxsize and negative seeds are usage errors too
         for flag, value in (("--trials", "1" + "0" * 30), ("--seed", "-1")):
-            res = run_cli("verify-sandwich", flag, value)
-            assert res.returncode == 1
-            assert f"argument {flag}" in res.stderr and "Traceback" not in res.stderr
-        res = run_cli("verify-sandwich", "--trials", "2", "--seed", "0", "--jobs", "1")
+            err = usage_error(capsys, "verify-sandwich", flag, value)
+            assert f"argument {flag}" in err and "Traceback" not in err
+        res = run_main(capsys, "verify-sandwich", "--trials", "2", "--seed", "0", "--jobs", "1")
         assert res.returncode == 0
 
-    def test_unknown_named_channel(self):
-        res = run_cli("capacity", "--named", "amplitude:d=2")
+    def test_unknown_named_channel(self, capsys):
+        res = run_main(capsys, "capacity", "--named", "amplitude:d=2")
         assert res.returncode == 1
         # a key the family does not take, and a dimension or seed out of range,
         # are input errors that name the key
@@ -283,35 +295,34 @@ class TestConfigValidation:
             ("random:seed=-1", "seed must be"),
             ("random:din=3,dout=2,kraus=1", "kraus=1, din=3, dout=2"),
         ):
-            res = run_cli("capacity", "--named", spec)
+            res = run_main(capsys, "capacity", "--named", spec)
             assert res.returncode == 1
             assert key in res.stderr and "Traceback" not in res.stderr
 
-    def test_non_numeric_named_value(self):
+    def test_non_numeric_named_value(self, capsys):
         # a value that does not parse is an input error that names its key
         for spec, message in (
             ("random:din=x", "error: din must be an integer in --named spec, got x"),
             ("depolarizing:d=2,p=abc", "error: p must be a number in --named spec, got abc"),
         ):
-            res = run_cli("capacity", "--named", spec)
+            res = run_main(capsys, "capacity", "--named", spec)
             assert res.returncode == 1
             assert res.stderr.strip() == message
 
-    def test_zero_jobs(self):
-        res = run_cli("verify-sandwich", "--trials", "3", "--jobs", "0")
-        assert res.returncode == 1
-        assert "jobs" in res.stderr
+    def test_zero_jobs(self, capsys):
+        err = usage_error(capsys, "verify-sandwich", "--trials", "3", "--jobs", "0")
+        assert "jobs" in err
 
-    def test_format_only_on_capacity(self):
-        res = run_cli("sweep", "--format", "json", "--points", "3")
-        assert res.returncode == 1
-        assert "--format" in res.stderr
+    def test_format_only_on_capacity(self, capsys):
+        err = usage_error(capsys, "sweep", "--format", "json", "--points", "3")
+        assert "--format" in err
 
 
 class TestParallelism:
-    def test_jobs_flag_keeps_output_stable(self):
-        serial = run_cli("verify-sandwich", "--trials", "40", "--din", "3", "--jobs", "1")
-        parallel = run_cli("verify-sandwich", "--trials", "40", "--din", "3", "--jobs", "4")
+    def test_jobs_flag_keeps_output_stable(self, capsys):
+        args = ("verify-sandwich", "--trials", "40", "--din", "3", "--jobs")
+        serial = run_main(capsys, *args, "1")
+        parallel = run_main(capsys, *args, "4")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
 

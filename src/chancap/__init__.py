@@ -17,7 +17,6 @@ from .certify import (
     chain_report,
     family_total_weight,
     output_barycenter,
-    superposition_family,
     support_margins,
     verify_ratio_bound,
 )
@@ -29,7 +28,6 @@ from .channels import (
     identity_channel,
     kraus_from_choi,
     random_channel,
-    replacement_channel,
 )
 from .entropy import (
     RelEntropyResult,

@@ -21,7 +21,7 @@ accepted point carries them into its next step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +65,7 @@ ANDERSON_DEPTH = 3  # mirror-ascent steps mixed into each extrapolated trial of 
 
 @dataclass
 class CapacityEstimate:
-    """Solver output: value in bits and nats, optimality gap, and witnesses.
+    """Solver output in nats (bits are ``value_nats / LN2``): value, optimality gap, witnesses.
 
     ``stop_reason`` says why the solver stopped: ``"gap"`` (the gap closed to
     the tolerance), ``"step_floor"`` (a line search gave up below STEP_FLOOR;
@@ -92,10 +92,6 @@ class CapacityEstimate:
     witnesses: list[np.ndarray] | None = None
     weights: np.ndarray | None = None
     barycenter: np.ndarray | None = None
-    value_bits: float = field(init=False)
-
-    def __post_init__(self):
-        self.value_bits = self.value_nats / LN2
 
 
 class SweepPoint(NamedTuple):
@@ -687,6 +683,6 @@ def depolarizing_capacity_sweep(
         chan = depolarizing_channel(d, float(p))
         ce = entanglement_assisted_capacity(chan, tol=tol, max_iter=max_iter)
         ch = holevo_quantity(chan, tol=tol, restarts=restarts, max_iter=max_iter, seed=seed)
-        ratio = capacity_ratio(ce.value_bits, ch.value_bits)
-        rows.append(SweepPoint(float(p), ce.value_bits, ch.value_bits, ratio))
+        ce_bits, ch_bits = ce.value_nats / LN2, ch.value_nats / LN2
+        rows.append(SweepPoint(float(p), ce_bits, ch_bits, capacity_ratio(ce_bits, ch_bits)))
     return rows

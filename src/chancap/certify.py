@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -46,6 +45,11 @@ from .linalg import (
 )
 
 
+# the chain's links in order; each names a ``<link>_nats`` field of ChainReport
+CHAIN_LINKS = ("mutual_info", "reference_divergence", "quadratic_bound",
+               "decomposed_bound", "entropy_bound", "capacity_bound")
+
+
 @dataclass
 class ChainReport:
     """All intermediate bound values for one (channel, pure input) instance, in nats."""
@@ -63,14 +67,8 @@ class ChainReport:
     monotone_ok: bool
 
     def chain(self) -> tuple[float, ...]:
-        return (
-            self.mutual_info_nats,
-            self.reference_divergence_nats,
-            self.quadratic_bound_nats,
-            self.decomposed_bound_nats,
-            self.entropy_bound_nats,
-            self.capacity_bound_nats,
-        )
+        """The link values in ``CHAIN_LINKS`` order."""
+        return tuple(getattr(self, f"{link}_nats") for link in CHAIN_LINKS)
 
 
 @dataclass
@@ -109,24 +107,12 @@ def capacity_ratio_prefactor(d_in: int) -> float:
     return num / den
 
 
-def superposition_state(basis: np.ndarray, k: int, l: int, a: int) -> np.ndarray:
-    """Unit vector (f_k + i^a f_l)/sqrt(2) from columns of an orthonormal basis."""
-    return (basis[:, k] + (1j**a) * basis[:, l]) / np.sqrt(2.0)
-
-
-def superposition_family(basis: np.ndarray):
-    """All phase superpositions over ordered basis pairs: ((k, l, a), vector)."""
-    d = basis.shape[1]
-    for k, l in permutations(range(d), 2):
-        for a in range(4):
-            yield (k, l, a), superposition_state(basis, k, l, a)
-
-
 def _family_outputs(channel: QuantumChannel, basis: np.ndarray):
-    """Outputs of the basis vectors, then of ``superposition_family(basis)`` in its
-    order, as one stack, with the pair indices k and l of each superposition."""
+    """Outputs of the basis columns f_k, then of the superpositions (f_k + i^a f_l)/sqrt(2)
+    over pairs k != l in row-major order with a = 0..3 fastest, as one stack, with
+    the pair indices k and l of each superposition."""
     d = basis.shape[1]
-    ks, ls = np.nonzero(~np.eye(d, dtype=bool))  # pairs k != l in ``permutations`` order
+    ks, ls = np.nonzero(~np.eye(d, dtype=bool))
     phases = np.array([1j**a for a in range(4)])[:, None]
     f = basis.T
     family = (f[ks, None] + phases * f[ls, None]) / np.sqrt(2.0)
@@ -303,8 +289,8 @@ def verify_ratio_bound(
     pre = capacity_ratio_prefactor(channel.d_in)
     slack = (pre * ch.lower_nats - ce.upper_nats) / LN2
     return RatioBoundCheck(
-        ce_bits=ce.value_bits,
-        ch_bits=ch.value_bits,
+        ce_bits=ce.value_nats / LN2,
+        ch_bits=ch.value_nats / LN2,
         prefactor=pre,
         slack_bits=slack,
         ce_converged=ce.converged,

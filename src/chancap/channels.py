@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    VALIDATION_TOL, hermitian_eig, maximally_entangled_state, partial_trace, seeded_rng
+    VALIDATION_TOL, hermitian_eig, maximally_entangled_state, seeded_rng
 )
 
 KRAUS_CUTOFF = 1e-14  # Choi eigenvalues at or below this give no Kraus operator
@@ -126,19 +126,6 @@ def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> QuantumChannel:
     return QuantumChannel(np.stack(ops))
 
 
-def replacement_channel(sigma: np.ndarray, d_in: int) -> QuantumChannel:
-    """Constant channel mapping every input to ``sigma`` (scaled by the input trace)."""
-    w, v = hermitian_eig(np.asarray(sigma, dtype=complex))
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam > KRAUS_CUTOFF:
-            for i in range(d_in):
-                k = np.zeros((sigma.shape[0], d_in), dtype=complex)
-                k[:, i] = np.sqrt(lam) * col
-                ops.append(k)
-    return QuantumChannel(np.stack(ops))
-
-
 def random_channel(d_in: int, d_out: int, kraus_count: int | None = None, seed=0) -> QuantumChannel:
     """Haar-random channel from a random Stinespring isometry.
 
@@ -165,12 +152,6 @@ def random_channel(d_in: int, d_out: int, kraus_count: int | None = None, seed=0
     return QuantumChannel(q.reshape(kraus_count, d_out, d_in))
 
 
-def choi_partial_trace_residual(channel: QuantumChannel) -> float:
-    """Max deviation of the Choi output marginal from I/d_in (trace-preservation witness)."""
-    marg = partial_trace(channel.choi(), 0, (channel.d_in, channel.d_out))
-    return float(np.max(np.abs(marg - np.eye(channel.d_in) / channel.d_in)))
-
-
 def channel_to_json(channel: QuantumChannel) -> str:
     """Serialize to the interchange format: [re, im] pairs, row-major matrices."""
     payload = {
@@ -185,27 +166,30 @@ def channel_to_json(channel: QuantumChannel) -> str:
 
 
 def channel_from_json(text: str, atol: float = VALIDATION_TOL) -> QuantumChannel:
-    """Parse the interchange format; validates shapes and trace preservation."""
-    payload = json.loads(text)
+    """Parse the interchange format. A fault in a field, a shape or an entry, or a map
+    that is not trace preserving, is a ValueError that names it. Integers are read as
+    doubles: one beyond the double range is an infinite entry, which the channel rejects."""
+    payload = json.loads(text, parse_int=float)
     try:
-        d_in = int(payload["d_in"])
-        d_out = int(payload["d_out"])
-        raw = payload["kraus"]
+        d_in, d_out, raw = payload["d_in"], payload["d_out"], payload["kraus"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"channel JSON missing required field: {exc}") from exc
+    for key, value in (("d_in", d_in), ("d_out", d_out)):
+        if type(value) is not float or not value.is_integer() or value < 1:
+            raise ValueError(f"channel JSON field {key!r} must be an integer >= 1")
+    d_in, d_out = int(d_in), int(d_out)
     if not isinstance(raw, list) or not raw:
         raise ValueError("channel JSON field 'kraus' must be a nonempty array")
-    ops = np.empty((len(raw), d_out, d_in), dtype=complex)
     for m, op in enumerate(raw):
-        if len(op) != d_out or any(len(row) != d_in for row in op):
-            raise ValueError(
-                f"kraus operator {m} has wrong shape, expected {d_out}x{d_in}"
-            )
+        if not (isinstance(op, list) and len(op) == d_out
+                and all(isinstance(row, list) and len(row) == d_in for row in op)):
+            raise ValueError(f"kraus operator {m} has wrong shape, expected {d_out}x{d_in}")
         for b, row in enumerate(op):
             for a, entry in enumerate(row):
-                if not (isinstance(entry, list) and len(entry) == 2):
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and all(type(x) is float for x in entry)):
                     raise ValueError(
-                        f"kraus operator {m} entry ({b},{a}) is not a [re, im] pair"
+                        f"kraus operator {m} entry ({b},{a}) is not a [re, im] pair of numbers"
                     )
-                ops[m, b, a] = complex(entry[0], entry[1])
-    return QuantumChannel(ops, atol=atol)
+    # the [re, im] pairs of a C-ordered double array are its complex entries, bit for bit
+    return QuantumChannel(np.array(raw, dtype=float).view(complex)[..., 0], atol=atol)

@@ -37,14 +37,6 @@ class SchmidtDecomposition:
     basis_left: np.ndarray
     basis_right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        d1 = self.basis_left.shape[0]
-        d2 = self.basis_right.shape[0]
-        v = np.zeros(d1 * d2, dtype=complex)
-        for k, c in enumerate(self.coefficients):
-            v += c * np.kron(self.basis_left[:, k], self.basis_right[:, k])
-        return v
-
 
 def seeded_rng(seed, *stream: int) -> np.random.Generator:
     """Counter-based generator; extra stream indices derive independent substreams.

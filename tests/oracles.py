@@ -9,22 +9,20 @@ call per member, and the bound chain summed member by member. The sphere
 ascent's divergence kernel is checked against its Kraus-index einsum form.
 The exact families are channels whose capacities have closed forms: the
 depolarizing channel at any dimension and mixing weight, the erasure channel
-and the Werner-Holevo channel.
+and the Werner-Holevo channel. The superposition family is built vector by
+vector as the reference for the certifier's stacked family, and the
+replacement channel is a constant map built from its output's eigenvectors.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 from scipy import integrate
 
 from chancap.capacity import SUP_RESTARTS, max_output_divergence
-from chancap.certify import (
-    barycenter_dominance,
-    family_total_weight,
-    output_barycenter,
-    superposition_family,
-)
-from chancap.channels import QuantumChannel
+from chancap.certify import barycenter_dominance, family_total_weight, output_barycenter
+from chancap.channels import KRAUS_CUTOFF, QuantumChannel
 from chancap.entropy import (
     log_derivative_form,
     lower_bound_factor,
@@ -69,6 +67,32 @@ def depolarizing_ch_nats(d: int, p: float) -> float:
     reference I/d: ln d minus that spectrum's entropy (King, 2003).
     """
     return math.log(d) + _xlogx_total([1 - p + p / d] + [p / d] * (d - 1))
+
+
+def superposition_state(basis: np.ndarray, k: int, l: int, a: int) -> np.ndarray:
+    """Unit vector (f_k + i^a f_l)/sqrt(2) from columns of an orthonormal basis."""
+    return (basis[:, k] + (1j**a) * basis[:, l]) / np.sqrt(2.0)
+
+
+def superposition_family(basis: np.ndarray):
+    """All phase superpositions over ordered basis pairs: ((k, l, a), vector)."""
+    d = basis.shape[1]
+    for k, l in permutations(range(d), 2):
+        for a in range(4):
+            yield (k, l, a), superposition_state(basis, k, l, a)
+
+
+def replacement_channel(sigma: np.ndarray, d_in: int) -> QuantumChannel:
+    """Constant channel mapping every input to ``sigma`` (scaled by the input trace)."""
+    w, v = hermitian_eig(np.asarray(sigma, dtype=complex))
+    ops = []
+    for lam, col in zip(w, v.T):
+        if lam > KRAUS_CUTOFF:
+            for i in range(d_in):
+                k = np.zeros((sigma.shape[0], d_in), dtype=complex)
+                k[:, i] = np.sqrt(lam) * col
+                ops.append(k)
+    return QuantumChannel(np.stack(ops))
 
 
 def erasure_channel(d: int, eps: float) -> QuantumChannel:

@@ -20,7 +20,6 @@ from chancap import (
     random_density_matrix,
     random_pure_state,
     relative_entropy,
-    replacement_channel,
     seeded_rng,
 )
 from chancap.capacity import (
@@ -47,6 +46,7 @@ from oracles import (
     divergences_and_grads_by_einsum,
     erasure_channel,
     erasure_ch_nats,
+    replacement_channel,
     werner_holevo_ch_nats,
     werner_holevo_channel,
 )
@@ -68,23 +68,22 @@ class TestAssistedCapacity:
     def test_noiseless_qubit(self):
         est = entanglement_assisted_capacity(identity_channel(2))
         assert est.converged
-        assert abs(est.value_bits - 2.0) < 1e-4
+        assert abs(est.value_nats / LN2 - 2.0) < 1e-4
 
     def test_fully_depolarizing(self):
         est = entanglement_assisted_capacity(depolarizing_channel(2, 1.0))
-        assert abs(est.value_bits) < 1e-6
+        assert abs(est.value_nats / LN2) < 1e-6
 
     def test_depolarizing_grid_matches_closed_form(self):
         for p in np.linspace(0.0, 4.0 / 3.0, 9):
             est = entanglement_assisted_capacity(depolarizing_channel(2, float(p)))
-            assert abs(est.value_bits - depolarizing_ce_nats(2, float(p)) / LN2) < 1e-4
+            assert abs(est.value_nats / LN2 - depolarizing_ce_nats(2, float(p)) / LN2) < 1e-4
 
     def test_estimate_invariants(self):
         est = entanglement_assisted_capacity(random_channel(2, 3, seed=1))
-        assert est.value_bits == est.value_nats / LN2
         assert est.converged and est.gap_bound <= 1e-7
         assert (est.lower_nats, est.upper_nats) == (est.value_nats, est.value_nats + est.gap_bound)
-        assert -1e-6 <= est.value_bits <= 2 * math.log2(2) + 1e-6
+        assert -1e-6 <= est.value_nats / LN2 <= 2 * math.log2(2) + 1e-6
         np.testing.assert_allclose(np.trace(est.argmax_state), 1.0, atol=1e-10)
 
     def test_stalls_at_the_step_floor(self):
@@ -152,7 +151,7 @@ class TestAssistedCertificate:
             gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
             assert abs(est.gap_bound - gap) <= 1e-12
         assert np.linalg.eigvalsh(rho)[0] < 1e-12  # the last channel ends rank-deficient
-        assert abs(est.value_bits - 2.0) < 1e-6
+        assert abs(est.value_nats / LN2 - 2.0) < 1e-6
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(
@@ -215,16 +214,16 @@ class TestHolevoQuantity:
     def test_noiseless_qubit(self):
         est = holevo_quantity(identity_channel(2))
         assert est.converged
-        assert abs(est.value_bits - 1.0) < 1e-4
+        assert abs(est.value_nats / LN2 - 1.0) < 1e-4
 
     def test_fully_depolarizing(self):
         est = holevo_quantity(depolarizing_channel(2, 1.0))
-        assert abs(est.value_bits) < 1e-6
+        assert abs(est.value_nats / LN2) < 1e-6
 
     def test_depolarizing_grid_matches_closed_form(self):
         for p in np.linspace(0.0, 4.0 / 3.0, 9):
             est = holevo_quantity(depolarizing_channel(2, float(p)))
-            assert abs(est.value_bits - depolarizing_ch_nats(2, float(p)) / LN2) < 1e-3
+            assert abs(est.value_nats / LN2 - depolarizing_ch_nats(2, float(p)) / LN2) < 1e-3
 
     def test_witnesses_reported(self):
         est = holevo_quantity(random_channel(2, 2, seed=8), seed=9)
@@ -237,9 +236,9 @@ class TestHolevoQuantity:
             din, dout = [(2, 3), (3, 2), (3, 3)][trial % 3]
             chan = random_channel(din, dout, seed=(40, trial))
             ch = holevo_quantity(chan, seed=(41, trial))
-            assert -1e-6 <= ch.value_bits <= math.log2(min(din, dout)) + 1e-6
+            assert -1e-6 <= ch.value_nats / LN2 <= math.log2(min(din, dout)) + 1e-6
             ce = entanglement_assisted_capacity(chan)
-            assert -1e-6 <= ce.value_bits <= 2 * math.log2(min(din, dout)) + 1e-6
+            assert -1e-6 <= ce.value_nats / LN2 <= 2 * math.log2(min(din, dout)) + 1e-6
 
     def test_covariant_channels_stop_at_the_basis_ensemble(self):
         # the first reference T(I/d) of a depolarizing channel is optimal and

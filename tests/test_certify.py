@@ -19,16 +19,20 @@ from chancap import (
     random_density_matrix,
     random_pure_state,
     relative_entropy,
-    replacement_channel,
     schmidt_decompose,
-    superposition_family,
     support_margins,
     verify_ratio_bound,
 )
-from chancap.certify import _family_outputs, superposition_state
+from chancap.capacity import LN2
+from chancap.certify import _family_outputs
 from chancap.channels import pure_outputs
 from chancap.linalg import check_density_matrix, partial_trace
-from oracles import chain_by_loop
+from oracles import (
+    chain_by_loop,
+    replacement_channel,
+    superposition_family,
+    superposition_state,
+)
 
 
 def bell_vector(d=2):
@@ -299,8 +303,9 @@ class TestVerifyRatioBound:
         ch = holevo_quantity(chan, seed=(7002, 48))
         sound = (check.prefactor * ch.lower_nats - ce.upper_nats) / math.log(2.0)
         assert check.slack_bits == sound
-        assert (check.ce_bits, check.ch_bits) == (ce.value_bits, ch.value_bits)
-        assert 0.0 < check.slack_bits <= check.prefactor * ch.value_bits - ce.value_bits
+        ce_bits, ch_bits = ce.value_nats / LN2, ch.value_nats / LN2
+        assert (check.ce_bits, check.ch_bits) == (ce_bits, ch_bits)
+        assert 0.0 < check.slack_bits <= check.prefactor * ch_bits - ce_bits
 
     def test_random_channels(self):
         for trial in range(10):

@@ -12,10 +12,9 @@ from chancap import (
     random_channel,
     random_density_matrix,
     random_pure_state,
-    replacement_channel,
 )
-from chancap.channels import choi_partial_trace_residual
 from chancap.linalg import check_density_matrix, partial_trace, tensor_product
+from oracles import replacement_channel
 
 
 def bell_state(d=2):
@@ -207,7 +206,9 @@ class TestChoi:
         chan = random_channel(3, 2, seed=25)
         choi = chan.choi()
         assert np.linalg.eigvalsh(choi)[0] >= -1e-10
-        assert choi_partial_trace_residual(chan) <= 1e-9
+        # the output marginal of the Choi state is I/d_in: trace preservation
+        marg = partial_trace(choi, 0, (chan.d_in, chan.d_out))
+        assert np.max(np.abs(marg - np.eye(chan.d_in) / chan.d_in)) <= 1e-9
 
 
 class TestDominance:
@@ -218,6 +219,9 @@ class TestDominance:
             psi = random_pure_state(chan.d_in, (27, seed))
             out = chan.apply(np.outer(psi, psi.conj()))
             assert np.linalg.eigvalsh(full - out)[0] >= -1e-9
+
+
+NOT_A_PAIR = r"kraus operator 0 entry \(0,0\) is not a \[re, im\] pair of numbers"
 
 
 class TestJsonFormat:
@@ -235,6 +239,28 @@ class TestJsonFormat:
         payload["kraus"][0] = payload["kraus"][0][:1]
         with pytest.raises(ValueError, match="2x2"):
             channel_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "d_in, d_out, kraus, message",
+        [
+            ("1", "1", "[[[[1, null]]]]", NOT_A_PAIR),
+            ("1", "1", '[[[[1, "a"]]]]', NOT_A_PAIR),
+            ("1", "1", "[[[[true, 0]]]]", NOT_A_PAIR),
+            ("1", "1", "[[[[1e400, 0]]]]", "non-finite"),
+            ("1", "1", "[[[[1" + "0" * 400 + ", 0]]]]", "non-finite"),  # beyond the double range
+            ("1", "1", "[1]", "operator 0 has wrong shape"),
+            ("1e400", "1", "[[[[1, 0]]]]", "'d_in' must be an integer >= 1"),
+            ("0", "1", "[[[[1, 0]]]]", "'d_in' must be an integer >= 1"),
+            ("-1", "1", "[[[[1, 0]]]]", "'d_in' must be an integer >= 1"),
+            ("1", "0", "[[[[1, 0]]]]", "'d_out' must be an integer >= 1"),
+            ("1.9", "1", "[[[[1, 0]]]]", "'d_in' must be an integer >= 1"),
+            ("true", "1", "[[[[1, 0]]]]", "'d_in' must be an integer >= 1"),
+        ],
+    )
+    def test_malformed_fields_name_the_fault(self, d_in, d_out, kraus, message):
+        text = f'{{"d_in": {d_in}, "d_out": {d_out}, "kraus": {kraus}}}'
+        with pytest.raises(ValueError, match=message):
+            channel_from_json(text)
 
     def test_missing_field(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 from chancap import capacity, certify, channel_to_json, identity_channel
 from chancap.cli import build_parser, main
+from chancap.linalg import maximally_entangled_state
 
 
 def run_cli(*args, timeout=300):
@@ -89,6 +90,19 @@ class TestCapacityCommand:
             bad.write_text(json.dumps(payload))
             assert main(["chain", str(bad)]) == code
 
+    def test_malformed_fields_report_an_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for text in (
+            '{"d_in": 1, "d_out": 1, "kraus": [[[[1, null]]]]}',
+            '{"d_in": 1e400, "d_out": 1, "kraus": [[[[1, 0]]]]}',
+            '{"d_in": 1.9, "d_out": 1, "kraus": [[[[1, 0]]]]}',
+            '{"d_in": 1, "d_out": 0, "kraus": [[[[1, 0]]]]}',
+        ):
+            bad.write_text(text)
+            res = run_main(capsys, "capacity", str(bad))
+            assert res.returncode == 1, text
+            assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_missing_channel(self, capsys):
         res = run_main(capsys, "capacity")
         assert res.returncode == 1
@@ -153,6 +167,27 @@ class TestChainCommand:
         assert res.returncode == 0
         assert "monotone_ok,True" in res.stdout
         assert "support_margins" in res.stdout
+
+    def test_first_column_lists_the_links_in_order(self, capsys):
+        links = (
+            "mutual_info", "reference_divergence", "quadratic_bound",
+            "decomposed_bound", "entropy_bound", "capacity_bound",
+        )
+        assert certify.CHAIN_LINKS == links
+        res = run_main(capsys, "chain", "--named", "identity:d=2")
+        assert [line.split(",")[0] for line in res.stdout.splitlines()] == [
+            "quantity", *links,
+            "total_weight", "dominance", "prefactor", "support_margins", "monotone_ok",
+        ]
+        report = certify.chain_report(identity_channel(2), maximally_entangled_state(2))
+        assert report.chain() == (
+            report.mutual_info_nats,
+            report.reference_divergence_nats,
+            report.quadratic_bound_nats,
+            report.decomposed_bound_nats,
+            report.entropy_bound_nats,
+            report.capacity_bound_nats,
+        )
 
     def test_constant_channel_zero_head(self, capsys):
         res = run_main(capsys, "chain", "--named", "depolarizing:d=2,p=1")

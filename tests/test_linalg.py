@@ -145,7 +145,11 @@ class TestSchmidt:
             sd = schmidt_decompose(v, (3, 3))
             assert sd.coefficients[0] >= sd.coefficients[-1] >= 0
             assert abs(np.sum(sd.coefficients**2) - 1.0) < 1e-10
-            fidelity = abs(np.vdot(sd.reconstruct(), v))
+            n = sd.coefficients.size  # sum_k c_k e_k (x) f_k
+            recon = np.einsum(
+                "k,ak,bk->ab", sd.coefficients, sd.basis_left[:, :n], sd.basis_right[:, :n]
+            ).reshape(-1)
+            fidelity = abs(np.vdot(recon, v))
             assert fidelity >= 1.0 - 1e-9
 
     def test_marginal_matches_partial_trace(self):

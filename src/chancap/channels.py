@@ -170,9 +170,11 @@ def channel_from_json(text: str, atol: float = VALIDATION_TOL) -> QuantumChannel
     that is not trace preserving, is a ValueError that names it. Integers are read as
     doubles: one beyond the double range is an infinite entry, which the channel rejects."""
     payload = json.loads(text, parse_int=float)
+    if not isinstance(payload, dict):
+        raise ValueError("channel JSON must be an object with fields d_in, d_out and kraus")
     try:
         d_in, d_out, raw = payload["d_in"], payload["d_out"], payload["kraus"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"channel JSON missing required field: {exc}") from exc
     for key, value in (("d_in", d_in), ("d_out", d_out)):
         if type(value) is not float or not value.is_integer() or value < 1:

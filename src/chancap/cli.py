@@ -32,6 +32,17 @@ def fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _csv(rows) -> str:
+    """CSV lines of ``rows``: a float cell through ``fmt``, None as undefined, others by str."""
+
+    def cell(v) -> str:
+        if isinstance(v, float):
+            return fmt(v)
+        return "undefined" if v is None else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 def _load_channel(args) -> channels.QuantumChannel:
     if args.named and args.channel_file:
         raise ValueError("give either a channel file or --named, not both")
@@ -126,11 +137,7 @@ def cmd_capacity(args) -> int:
     if args.format == "json":
         _emit(json.dumps(record, indent=2) + "\n", args.out)
     else:
-        header = ",".join(record)
-        row = ",".join(
-            fmt(v) if isinstance(v, float) else str(v) for v in record.values()
-        )
-        _emit(header + "\n" + row + "\n", args.out)
+        _emit(_csv([record, record.values()]), args.out)
     return EXIT_OK if ce.converged and ch.converged else EXIT_NOT_CONVERGED
 
 
@@ -143,34 +150,23 @@ def _ratio_trial(args, index: int):
 
 
 def cmd_verify_ratio(args) -> int:
+    rows = [("trial", "ce_bits", "ch_bits", "ratio", "prefactor", "slack_bits", "converged")]
     if args.din == 1:
-        _emit(
-            "trial,ce_bits,ch_bits,ratio,prefactor,slack_bits,converged\n"
-            + "\n".join(
-                f"{i},0,0,undefined,undefined,0,True" for i in range(args.trials)
-            )
-            + "\nmin_slack_bits,0\nnote,input dimension 1: both capacities vanish;"
-            " the bound holds trivially\n",
-            args.out,
-        )
+        rows += [(i, 0, 0, None, None, 0, True) for i in range(args.trials)]
+        note = "input dimension 1: both capacities vanish; the bound holds trivially"
+        _emit(_csv([*rows, ("min_slack_bits", 0), ("note", note)]), args.out)
         return EXIT_OK
     results = _run_trials(_ratio_trial, args, range(args.trials))
     tol_bits = args.tol / capacity.LN2
-    lines = ["trial,ce_bits,ch_bits,ratio,prefactor,slack_bits,converged"]
     inconclusive = 0
     for i, r in enumerate(results):
         ratio = capacity.capacity_ratio(r.ce_bits, r.ch_bits)
         conv = r.ce_converged and r.ch_converged
         inconclusive += not conv
-        lines.append(
-            f"{i},{fmt(r.ce_bits)},{fmt(r.ch_bits)},"
-            f"{fmt(ratio) if ratio is not None else 'undefined'},"
-            f"{fmt(r.prefactor)},{fmt(r.slack_bits)},{conv}"
-        )
+        rows.append((i, r.ce_bits, r.ch_bits, ratio, r.prefactor, r.slack_bits, conv))
     min_slack = min(r.slack_bits for r in results)
-    lines.append(f"min_slack_bits,{fmt(min_slack)}")
-    lines.append(f"non_converged_trials,{inconclusive}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows += [("min_slack_bits", min_slack), ("non_converged_trials", inconclusive)]
+    _emit(_csv(rows), args.out)
     if inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OK if min_slack >= -2.0 * tol_bits else EXIT_INCONCLUSIVE
@@ -190,12 +186,8 @@ def cmd_verify_sandwich(args) -> int:
     results = _run_trials(_sandwich_trial, args, range(args.trials))
     upper_violation = max(r[0] for r in results)
     lower_violation = max(r[1] for r in results)
-    _emit(
-        "check,max_violation_nats\n"
-        f"upper_bound,{fmt(upper_violation)}\n"
-        f"lower_bound,{fmt(lower_violation)}\n",
-        args.out,
-    )
+    rows = [("upper_bound", upper_violation), ("lower_bound", lower_violation)]
+    _emit(_csv([("check", "max_violation_nats"), *rows]), args.out)
     ok = upper_violation <= 1e-9 and lower_violation <= 1e-9
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
@@ -230,17 +222,13 @@ def cmd_chain(args) -> int:
     report = certify.chain_report(
         chan, state, tol=args.tol, sup_restarts=args.restarts, sup_seed=args.seed
     )
-    lines = ["quantity,nats,bits"]
+    rows = [("quantity", "nats", "bits")]
     for name, nats in zip(certify.CHAIN_LINKS, report.chain()):
-        lines.append(f"{name},{fmt(nats)},{fmt(nats / capacity.LN2)}")
-    lines.append(f"total_weight,{fmt(report.total_weight)},")
-    lines.append(f"dominance,{fmt(report.dominance)},")
-    lines.append(f"prefactor,{fmt(report.prefactor)},")
-    lines.append(
-        "support_margins," + " ".join(fmt(m) for m in report.support_margins) + ","
-    )
-    lines.append(f"monotone_ok,{report.monotone_ok},")
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append((name, nats, nats / capacity.LN2))
+    margins = " ".join(fmt(m) for m in report.support_margins)
+    rows += [(k, getattr(report, k), "") for k in ("total_weight", "dominance", "prefactor")]
+    rows += [("support_margins", margins, ""), ("monotone_ok", report.monotone_ok, "")]
+    _emit(_csv(rows), args.out)
     return EXIT_OK if report.monotone_ok else EXIT_INCONCLUSIVE
 
 
@@ -254,11 +242,7 @@ def _sweep_point(args, p: float):
 
 def cmd_sweep(args) -> int:
     rows = _run_trials(_sweep_point, args, capacity.depolarizing_grid(2, args.points))
-    lines = ["p,ce_bits,ch_bits,ratio"]
-    for r in rows:
-        ratio = fmt(r.ratio) if r.ratio is not None else "undefined"
-        lines.append(f"{fmt(r.p)},{fmt(r.ce_bits)},{fmt(r.ch_bits)},{ratio}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv([capacity.SweepPoint._fields, *rows]), args.out)
     if args.svg:
         _emit(_sweep_svg(rows), args.svg)
     return EXIT_OK

@@ -265,6 +265,9 @@ class TestJsonFormat:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             channel_from_json('{"d_in": 2}')
+        for text in ("[1]", '"abc"', "null", "3"):  # a top level that is not an object
+            with pytest.raises(ValueError, match="must be an object with fields d_in, d_out"):
+                channel_from_json(text)
 
     def test_non_trace_preserving_rejected(self):
         kraus = np.eye(2, dtype=complex)[None, :, :] * 0.5

@@ -97,6 +97,10 @@ class TestCapacityCommand:
             '{"d_in": 1e400, "d_out": 1, "kraus": [[[[1, 0]]]]}',
             '{"d_in": 1.9, "d_out": 1, "kraus": [[[[1, 0]]]]}',
             '{"d_in": 1, "d_out": 0, "kraus": [[[[1, 0]]]]}',
+            "[1]",
+            '"abc"',
+            "null",
+            "3",
         ):
             bad.write_text(text)
             res = run_main(capsys, "capacity", str(bad))
@@ -146,7 +150,13 @@ class TestVerifyRatioCommand:
     def test_dimension_one_trivial(self, capsys):
         res = run_main(capsys, "verify-ratio", "--trials", "2", "--din", "1", "--dout", "2")
         assert res.returncode == 0
-        assert "trivially" in res.stdout
+        assert res.stdout == (
+            "trial,ce_bits,ch_bits,ratio,prefactor,slack_bits,converged\n"
+            "0,0,0,undefined,undefined,0,True\n"
+            "1,0,0,undefined,undefined,0,True\n"
+            "min_slack_bits,0\n"
+            "note,input dimension 1: both capacities vanish; the bound holds trivially\n"
+        )
 
 
 class TestVerifySandwichCommand:
@@ -167,6 +177,23 @@ class TestChainCommand:
         assert res.returncode == 0
         assert "monotone_ok,True" in res.stdout
         assert "support_margins" in res.stdout
+        # every value is a closed form at d = 2: I = 2 ln 2, total weight 4d - 3,
+        # dominance k = 2d - 3/2, the prefactor, and each support margin k/d - 1
+        # (the reference is I/d)
+        assert res.stdout == (
+            "quantity,nats,bits\n"
+            "mutual_info,1.38629,2\n"
+            "reference_divergence,1.38629,2\n"
+            "quadratic_bound,3,4.32809\n"
+            "decomposed_bound,3,4.32809\n"
+            "entropy_bound,9.86169,14.2274\n"
+            "capacity_bound,9.86169,14.2274\n"
+            "total_weight,5,\n"
+            "dominance,2.5,\n"
+            "prefactor,14.2274,\n"
+            "support_margins," + " ".join(["0.25"] * 10) + ",\n"
+            "monotone_ok,True,\n"
+        )
 
     def test_first_column_lists_the_links_in_order(self, capsys):
         links = (

@@ -1,9 +1,10 @@
 """Capacity solvers with convergence certificates.
 
 The entanglement-assisted capacity is a concave maximization over input
-states, solved by entropic mirror ascent with a first-order optimality gap;
-each iteration first tries an Anderson extrapolation of the last mirror
-steps and falls back to a halving step along the gradient.
+states, solved over their logits with a first-order optimality gap; each
+iteration first searches along a damped Newton step, whose Hessian comes
+from divided differences of the logarithm (Daleckii-Krein), and falls back
+to a halving mirror step along the gradient.
 The Holevo quantity is a minimax problem solved by alternating a multi-start
 sphere ascent (inner supremum; Armijo steps started from Barzilai-Borwein
 step lengths) with barycenter updates of the reference state over an
@@ -15,7 +16,7 @@ and backtracked on the simplex.
 
 Both ascents take a trial point's value and gradient from one
 eigendecomposition of each of its matrices (the outputs of the sphere
-ascent's rows; H, T(rho) and T_c(rho) in the mirror ascent), and an
+ascent's rows; H, T(rho) and T_c(rho) in the C_E solver), and an
 accepted point carries them into its next step.
 """
 
@@ -60,7 +61,6 @@ POSITION_SWEEPS = 6  # witness-position ascent sweeps per outer iteration of the
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope
 DUPLICATE_OVERLAP = 1.0 - 1e-10  # a state with this squared overlap with a witness is not added
 MERGE_OVERLAP = 1.0 - 1e-3  # a sphere-ascent row this close to a higher row merges into it
-ANDERSON_DEPTH = 3  # mirror-ascent steps mixed into each extrapolated trial of the C_E solver
 
 
 @dataclass
@@ -148,29 +148,87 @@ def _gradient_and_gap(channel: QuantumChannel, point: _AssistedPoint):
     return grad, float(np.linalg.eigvalsh(grad)[-1] - np.trace(point.rho @ grad).real)
 
 
-def _predicted_gain(grad: np.ndarray, point: _AssistedPoint, trial: _AssistedPoint) -> float:
-    """First-order gain tr(grad (rho' - rho)) of moving from ``point`` to ``trial``."""
-    return float(np.trace(grad @ (trial.rho - point.rho)).real)
+def _traceless_images(channel: QuantumChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An orthonormal basis E_a of the traceless Hermitian input matrices
+    (generalized Gell-Mann matrices; none for d_in = 1) with T(E_a) and
+    T_c(E_a), which do not depend on the state."""
+    d, k = channel.d_in, channel.kraus
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    a = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[a, i, j] = basis[a, j, i] = 1.0 / np.sqrt(2.0)
+            basis[a + 1, i, j], basis[a + 1, j, i] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            a += 2
+    for j in range(1, d):
+        basis[a, range(j), range(j)] = 1.0 / np.sqrt(j * (j + 1))
+        basis[a, j, j] = -j / np.sqrt(j * (j + 1))
+        a += 1
+    return (
+        basis,
+        np.einsum("mbi,aij,mcj->abc", k, basis, k.conj()),
+        np.einsum("jbi,aic,kbc->ajk", k, basis, k.conj()),
+    )
 
 
-def _traceless_vector(x: np.ndarray) -> np.ndarray:
-    """The traceless part of a Hermitian matrix as a real vector (Frobenius inner product)."""
-    return (x - np.trace(x).real / len(x) * np.eye(len(x))).view(float).ravel()
+def _entropy_curvature(eig: Eigensystem, mats: np.ndarray) -> np.ndarray:
+    """Gram matrix Q(A_a, A_b) = Re sum_kl L_kl (V*A_aV)_kl conj((V*A_bV)_kl)
+    of a stack of Hermitian A_a, with L the divided differences of ln over
+    the spectrum of ``eig`` and V its eigenvectors: minus the Hessian of the
+    von Neumann entropy there (Daleckii-Krein)."""
+    w, v = eig
+    rot = (v.conj().T @ mats @ v) * np.sqrt(log_divided_differences(w))
+    flat = rot.reshape(len(mats), -1)
+    return (flat @ flat.conj().T).real
 
 
-def _anderson_logits(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Anderson-mixed logits, as a real vector, from (traceless logits, traceless
-    gradient) pairs of the last accepted points.
+def _mutual_information_hessian(images, eigensystems) -> np.ndarray:
+    """Hessian -Q_rho - Q_T + Q_c of the mutual information on the traceless
+    basis, from ``_traceless_images`` and the eigensystems of rho, T(rho) and
+    T_c(rho)."""
+    q_rho, q_out, q_env = map(_entropy_curvature, eigensystems, images)
+    return q_env - q_rho - q_out
 
-    The unit mirror step is the fixed-point map h -> h + grad. Its residual,
-    the gradient, is fitted by the least-squares mix gamma of the differences
-    of the last steps, and the extrapolated logits are
-    h_k + g_k - (dH + dG) gamma (Walker and Ni's form with mixing parameter 1).
+
+def _newton_logits(images, point: _AssistedPoint, grad: np.ndarray):
+    """The Newton step of the mutual information at the point, mapped into the
+    logits, with its first-order gain tr(grad Delta).
+
+    The step Delta = sum_a c_a E_a on the traceless basis solves H c = -g,
+    g_a = tr(grad E_a), by least squares, since the Hessian H is singular
+    near rank-deficient optima. The logit step V (L_rho o V*Delta V) V* is
+    the first-order inverse of h -> exp(h)/tr exp(h) at rho.
     """
-    hs, gs = map(np.array, zip(*history))
-    dh, dg = np.diff(hs, axis=0), np.diff(gs, axis=0)
-    gamma = np.linalg.lstsq(dg.T, gs[-1], rcond=None)[0]
-    return hs[-1] + gs[-1] - (dh + dg).T @ gamma
+    basis = images[0]
+    hess = _mutual_information_hessian(images, point.eigensystems)
+    g = np.einsum("aij,ji->a", basis, grad).real
+    c = np.linalg.lstsq(hess, -g, rcond=None)[0]
+    w, v = point.eigensystems[0]
+    rot = v.conj().T @ np.einsum("a,aij->ij", c, basis) @ v
+    return v @ (log_divided_differences(w) * rot) @ v.conj().T, float(g @ c)
+
+
+def _line_search(channel: QuantumChannel, h, direction, point: _AssistedPoint, grad, gap):
+    """The first trial on h + step * direction, step halved from 1 to
+    STEP_FLOOR, that raises the value and passes Armijo on its first-order
+    gain tr(grad (rho' - rho)), or that keeps the value and lowers the gap: as
+    (logits, point, its gradient and gap or None when not yet formed), or
+    None if no step is taken.
+    """
+    step = 1.0
+    while step >= STEP_FLOOR:
+        h_step = h + step * direction
+        trial = _assisted_point(channel, h_step)
+        if trial.value > point.value:
+            gain = float(np.trace(grad @ (trial.rho - point.rho)).real)
+            if trial.value >= point.value + ARMIJO * gain:
+                return h_step, trial, None
+        if trial.value >= point.value:
+            certificate = _gradient_and_gap(channel, trial)
+            if certificate[1] < gap:
+                return h_step, trial, certificate
+        step /= 2.0
+    return None
 
 
 def entanglement_assisted_capacity(
@@ -180,52 +238,43 @@ def entanglement_assisted_capacity(
 ) -> CapacityEstimate:
     """Maximize the channel mutual information over input states.
 
-    Entropic mirror ascent: the state is kept as exp(H)/tr exp(H) and H moves
-    along the Euclidean gradient. Each iteration first tries the Anderson
-    extrapolation of the last ANDERSON_DEPTH unit steps (``_anderson_logits``)
-    and takes it if its predicted gain tr(grad (rho' - rho)) is positive and
-    it passes the Armijo test. Otherwise the history is cut to the newest
-    point and the step along the gradient is halved from 1 until Armijo
-    holds; below STEP_FLOOR the solver stops. The reported gap is
-    lambda_max(grad) - tr(rho grad), a global optimality certificate for this
-    concave objective at every accepted point; convergence means gap <= tol
-    (in nats). Each trial state costs one eigendecomposition of H, T(rho) and
-    T_c(rho) each, which give its value and, once accepted, its gradient.
+    The state is kept as exp(H)/tr exp(H). Each iteration first searches
+    along the damped Newton step mapped into the logits (``_newton_logits``);
+    if its first-order gain is not positive or that search takes no trial,
+    it searches along the Euclidean gradient, a mirror step. Both searches
+    follow ``_line_search``: a trial is taken on Armijo or on a lower gap,
+    and where neither takes one the solver stops at the step floor. The
+    reported gap is lambda_max(grad) - tr(rho grad), a global optimality
+    certificate for this concave objective at every accepted point;
+    convergence means gap <= tol (in nats). Each trial state costs one
+    eigendecomposition of H, T(rho) and T_c(rho) each, which give its value
+    and, once accepted, its gradient and the Hessian of the Newton step.
     """
     d = channel.d_in
+    images = None  # formed at the first step: solves that close at once never need them
     h = np.zeros((d, d), dtype=complex)
     point = _assisted_point(channel, h)
-    gap = float("inf")
+    grad, gap = _gradient_and_gap(channel, point)
     iterations = 0
     stop_reason = "max_iter"
-    history = []  # (traceless logits, traceless gradient) of the last accepted points
     for iterations in range(1, max_iter + 1):
-        grad, gap = _gradient_and_gap(channel, point)
         if gap <= tol:
             stop_reason = "gap"
             break
-        history = history[-ANDERSON_DEPTH:] + [(_traceless_vector(h), _traceless_vector(grad))]
-        h_try = None
-        if len(history) > 1:
-            h_try = _anderson_logits(history).view(complex).reshape(d, d)
-            trial = _assisted_point(channel, h_try)
-            gain = _predicted_gain(grad, point, trial)
-            if not (gain > 0.0 and trial.value >= point.value + ARMIJO * gain):
-                h_try, history = None, history[-1:]
-        step = 1.0
-        while h_try is None and step >= STEP_FLOOR:
-            h_step = h + step * grad
-            trial = _assisted_point(channel, h_step)
-            if trial.value >= point.value + ARMIJO * _predicted_gain(grad, point, trial):
-                h_try = h_step
-            step /= 2.0
-        if h_try is None:
+        found = None
+        images = images or _traceless_images(channel)
+        newton, gain = _newton_logits(images, point, grad)
+        if gain > 0.0:
+            found = _line_search(channel, h, newton, point, grad, gap)
+        if found is None:
+            found = _line_search(channel, h, grad, point, grad, gap)
+        if found is None:
             stop_reason = "step_floor"  # the gap is reported as it stands
             break
-        point = trial
-        h = h_try - trial.logit_max * np.eye(d)  # keep logits bounded
+        h, point, certificate = found
+        h = h - point.logit_max * np.eye(d)  # keep logits bounded
+        grad, gap = certificate or _gradient_and_gap(channel, point)
     else:  # out of iterations: the gap at the last accepted point
-        gap = _gradient_and_gap(channel, point)[1]
         if gap <= tol:
             stop_reason = "gap"
     value = max(0.0, point.value)

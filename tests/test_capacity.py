@@ -33,12 +33,15 @@ from chancap.capacity import (
     _ensemble_point,
     _ensemble_weights,
     _fit_ensemble,
+    _mutual_information_hessian,
     _re_inner,
     _sphere_ascent,
+    _traceless_images,
 )
 from chancap.channels import depolarizing_cp_limit
 from chancap.channels import pure_outputs as _batch_outputs
 from chancap.entropy import mutual_information as _mutual_information_nats
+from chancap.linalg import clamped_eigh
 from chancap.linalg import log_matrix as _log_matrix
 from oracles import (
     depolarizing_ce_nats,
@@ -89,9 +92,10 @@ class TestAssistedCapacity:
     def test_stalls_at_the_step_floor(self):
         # a first-order gap g buys a value gain of about g^2 / (2 curvature),
         # which sinks below the rounding of the value (about 2e-16 nats) once g
-        # is a few 1e-9: then neither the extrapolated trial nor any step of at
-        # least STEP_FLOOR passes Armijo but by chance. An unreachable tolerance
-        # ends in a stall long before max_iter, with the gap reported as it stands
+        # is a few 1e-9: then no Newton or gradient step of at least STEP_FLOOR
+        # passes Armijo, or keeps the value and lowers the gap, but by chance.
+        # An unreachable tolerance ends in a stall long before max_iter, with
+        # the gap reported as it stands
         chan = random_channel(2, 3, seed=0)
         est = entanglement_assisted_capacity(chan, tol=1e-300, max_iter=3000)
         assert not est.converged and est.iterations < 3000
@@ -105,9 +109,9 @@ class TestAssistedCapacity:
         assert full.converged and full.stop_reason == "gap"
         stalled = entanglement_assisted_capacity(chan, tol=1e-300)
         assert not stalled.converged and stalled.stop_reason == "step_floor"
-        short = entanglement_assisted_capacity(chan, max_iter=2)
+        short = entanglement_assisted_capacity(chan, max_iter=1)
         assert not short.converged and short.stop_reason == "max_iter"
-        assert short.iterations == 2 and short.gap_bound > 1e-7
+        assert short.iterations == 1 and short.gap_bound > 1e-7
         # the point accepted in the last allowed iteration closes the gap: the
         # solve reports it as the full solve does, one gap check earlier
         last = entanglement_assisted_capacity(chan, max_iter=full.iterations - 1)
@@ -117,6 +121,21 @@ class TestAssistedCapacity:
         assert holevo_quantity(identity_channel(2)).stop_reason == "gap"
         short = holevo_quantity(random_channel(3, 3, seed=1), max_iter=1)
         assert not short.converged and short.stop_reason == "max_iter"
+
+    def test_tight_tolerance_solves_rarely_stall(self):
+        # at tol 1e-9 rounding hides most of the value's gain; the Newton
+        # step gets there in few iterations and a trial that keeps the value
+        # may still be taken on a lower gap, so few solves stall, at small gaps
+        ests = [
+            entanglement_assisted_capacity(random_channel(din, dout, seed=seed), tol=1e-9)
+            for din in (2, 3)
+            for dout in (2, 3)
+            for seed in range(30)
+        ]
+        stalls = [est for est in ests if not est.converged]
+        assert len(stalls) <= 10
+        assert all(est.stop_reason == "step_floor" for est in stalls)
+        assert max(est.gap_bound for est in ests) <= 1e-8
 
 
 def qutrit_with_discarded_level():
@@ -178,6 +197,56 @@ class TestAssistedCertificate:
         rotated = QuantumChannel(np.einsum("ab,mbc,dc->mad", u_out, chan.kraus, u_in.conj()))
         rotated_est = entanglement_assisted_capacity(rotated, tol=tol)
         assert abs(rotated_est.value_nats - est.value_nats) <= 2 * tol
+
+
+class TestNewtonDirection:
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        # H c, for the coordinates c of a traceless direction eta on the
+        # orthonormal basis, is the derivative of the gradient along eta read
+        # on that basis; the last state is nearly singular, where the divided
+        # differences of ln reach 1/w_min
+        cases = [(2, 2, 0.2), (2, 3, 0.2), (3, 2, 0.2), (3, 3, 0.2), (4, 3, 0.1), (3, 3, 1e-4)]
+        for trial, (din, dout, w_min) in enumerate(cases):
+            chan = random_channel(din, dout, seed=(90, trial))
+            images = _traceless_images(chan)
+            basis = images[0]
+            flat = basis.reshape(len(basis), -1)
+            np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(din * din - 1), atol=1e-15)
+            np.testing.assert_array_equal(basis, basis.conj().swapaxes(1, 2))
+            np.testing.assert_allclose(np.trace(basis, axis1=1, axis2=2), 0.0, atol=1e-15)
+            u = np.linalg.qr(random_density_matrix(din, din, (91, trial)))[0]
+            spectrum = np.linspace(w_min, 1.0, din)
+            rho = (u * (spectrum / spectrum.sum())) @ u.conj().T
+            eigs = map(clamped_eigh, (rho, chan.apply(rho), chan.apply_complementary(rho)))
+            hess = _mutual_information_hessian(images, eigs)
+            np.testing.assert_allclose(hess, hess.T, atol=1e-12 * np.abs(hess).max())
+            eps = 1e-4 * w_min
+            for k in range(3):
+                eta = random_traceless_direction(din, (92, trial, k))
+                coords = np.einsum("aij,ji->a", basis, eta).real
+                dgrad = (
+                    mutual_information_gradient(chan, rho + eps * eta)
+                    - mutual_information_gradient(chan, rho - eps * eta)
+                ) / (2 * eps)
+                fd = np.einsum("aij,ji->a", basis, dgrad).real
+                np.testing.assert_allclose(hess @ coords, fd, atol=1e-6 * np.abs(fd).max())
+
+    def test_single_input_dimension_builds_no_system(self, monkeypatch):
+        # the traceless 1 x 1 matrices are {0}: the basis is empty, and the only
+        # state closes the gap at the first check, before any Newton system
+        def no_system(*args):
+            raise AssertionError("a Newton system was built for d_in = 1")
+
+        monkeypatch.setattr(capacity_module, "_newton_logits", no_system)
+        for dout in (1, 2, 3):
+            chan = random_channel(1, dout, seed=(93, dout))
+            basis, out_images, env_images = _traceless_images(chan)
+            assert basis.shape == (0, 1, 1) and out_images.shape == (0, dout, dout)
+            assert env_images.shape[0] == 0
+            est = entanglement_assisted_capacity(chan)
+            assert est.converged and est.stop_reason == "gap" and est.iterations == 1
+            assert est.gap_bound == 0.0
+            assert abs(est.value_nats - _mutual_information_nats(chan, np.eye(1))) <= 1e-15
 
 
 class TestGradient:

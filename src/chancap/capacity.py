@@ -152,7 +152,7 @@ def _traceless_images(channel: QuantumChannel) -> tuple[np.ndarray, np.ndarray, 
     """An orthonormal basis E_a of the traceless Hermitian input matrices
     (generalized Gell-Mann matrices; none for d_in = 1) with T(E_a) and
     T_c(E_a), which do not depend on the state."""
-    d, k = channel.d_in, channel.kraus
+    d = channel.d_in
     basis = np.zeros((d * d - 1, d, d), dtype=complex)
     a = 0
     for i in range(d):
@@ -164,11 +164,7 @@ def _traceless_images(channel: QuantumChannel) -> tuple[np.ndarray, np.ndarray, 
         basis[a, range(j), range(j)] = 1.0 / np.sqrt(j * (j + 1))
         basis[a, j, j] = -j / np.sqrt(j * (j + 1))
         a += 1
-    return (
-        basis,
-        np.einsum("mbi,aij,mcj->abc", k, basis, k.conj()),
-        np.einsum("jbi,aic,kbc->ajk", k, basis, k.conj()),
-    )
+    return basis, channel.apply(basis), channel.apply_complementary(basis)
 
 
 def _entropy_curvature(eig: Eigensystem, mats: np.ndarray) -> np.ndarray:
@@ -479,8 +475,8 @@ def _newton_trials(alphabet: _Alphabet, point: _EnsemblePoint):
 
     The step is solved on the support of the point's weights plus the output
     with the largest D_i, from the bordered system of the Hessian of
-    -tr(avg ln avg) (divided differences of ln over the barycenter's
-    spectrum) shifted by -gap I: Levenberg-Marquardt damping by the residual,
+    -tr(avg ln avg) (minus ``_entropy_curvature`` of the outputs at the
+    barycenter) shifted by -gap I: Levenberg-Marquardt damping by the residual,
     which bounds the step where affinely dependent outputs make the Hessian
     singular. It is halved from 1 to STEP_FLOOR through ``_move_to_boundary``.
     """
@@ -489,9 +485,7 @@ def _newton_trials(alphabet: _Alphabet, point: _EnsemblePoint):
     worst = int(np.argmax(dvals))
     if weights[worst] <= WEIGHT_FLOOR:
         support = np.append(support, worst)
-    lam, v = point.eig
-    rot = v.conj().T @ alphabet.outs[support] @ v
-    hess = -np.einsum("ikl,jlk,kl->ij", rot, rot, log_divided_differences(lam)).real
+    hess = -_entropy_curvature(point.eig, alphabet.outs[support])
     n = support.size
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = hess - point.gap * np.eye(n)

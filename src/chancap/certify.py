@@ -41,6 +41,7 @@ from .linalg import (
     hermitian_eig,
     partial_trace,
     schmidt_decompose,
+    tensor_product,
     trace_xlogx,
 )
 
@@ -120,14 +121,6 @@ def _family_outputs(channel: QuantumChannel, basis: np.ndarray):
     return np.repeat(ks, 4), np.repeat(ls, 4), pure_outputs(channel, vectors)
 
 
-def _family_barycenter(proj_outs: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
-    # basis output k carries alpha_k^2 plus its share 2 (alpha_k^2 + alpha_l^2)
-    # of the four superpositions of each pair (k, l), l != k
-    d = len(alpha2)
-    weights = (2 * d - 3) * alpha2 + 2.0 * alpha2.sum()
-    return np.einsum("k,kij->ij", weights, proj_outs) / family_total_weight(d)
-
-
 def _margins(outs: np.ndarray, sigma: np.ndarray, d: int) -> list[float]:
     anchor = barycenter_dominance(d) * np.asarray(sigma, dtype=complex)
     return [float(m) for m in np.linalg.eigvalsh(anchor - outs)[:, 0]]
@@ -146,8 +139,11 @@ def output_barycenter(channel: QuantumChannel, sd: SchmidtDecomposition) -> np.n
         raise ValueError(
             f"basis dimension {d} does not match channel input dimension {channel.d_in}"
         )
-    alpha2 = np.pad(sd.coefficients**2, (0, d - sd.coefficients.size))
-    return _family_barycenter(pure_outputs(channel, basis.T), alpha2)
+    alpha2 = np.concatenate([sd.coefficients**2, np.zeros(d - sd.coefficients.size)])
+    # basis output k carries alpha_k^2 plus its share 2 (alpha_k^2 + alpha_l^2)
+    # of the four superpositions of each pair (k, l), l != k
+    weights = (2 * d - 3) * alpha2 + 2.0 * alpha2.sum()
+    return np.einsum("k,kij->ij", weights, pure_outputs(channel, basis.T)) / family_total_weight(d)
 
 
 def support_margins(
@@ -209,11 +205,10 @@ def chain_report(
         raise ValueError("the bound chain is defined for input dimension >= 2")
     v = _pure_vector(state, d)
     sd = schmidt_decompose(v, (d, d))
-    alpha2 = np.pad(sd.coefficients**2, (0, d - sd.coefficients.size))
+    alpha2 = np.concatenate([sd.coefficients**2, np.zeros(d - sd.coefficients.size)])
     ks, ls, outs = _family_outputs(channel, sd.basis_right)
-    proj_outs = outs[:d]
 
-    sigma = _family_barycenter(proj_outs, alpha2)
+    sigma = output_barycenter(channel, sd)
     k_dom = barycenter_dominance(d)
     total = family_total_weight(d)
     g = lower_bound_factor(k_dom)
@@ -223,7 +218,7 @@ def chain_report(
     rho = np.outer(v, v.conj())
     joint = channel.apply_extended(rho)
     mutual = mutual_information(channel, partial_trace(rho, 1, (d, d)))
-    reference = np.kron(partial_trace(rho, 0, (d, d)), sigma)
+    reference = tensor_product(partial_trace(rho, 0, (d, d)), sigma)
     reference_eig = hermitian_eig(reference, atol=INPUT_TOL)
     anchored = float(_relative_entropies(joint[None], trace_xlogx(joint[None]), reference_eig)[0])
     quadratic = float(_log_derivative_forms((joint - reference)[None], reference_eig)[0])

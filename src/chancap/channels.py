@@ -19,7 +19,9 @@ class QuantumChannel:
     """Completely positive trace-preserving map stored as Kraus operators.
 
     ``kraus`` has shape (num_kraus, d_out, d_in). Trace preservation
-    sum_j K_j^dagger K_j = I is enforced at construction.
+    sum_j K_j^dagger K_j = I is enforced at construction; complete
+    positivity holds by construction, since the Choi matrix
+    (1/d_in) sum_j vec(K_j) vec(K_j)^dagger is positive semidefinite.
     """
 
     kraus: np.ndarray
@@ -45,17 +47,21 @@ class QuantumChannel:
     def d_out(self) -> int:
         return self.kraus.shape[1]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action sum_j K_j rho K_j^dagger."""
+    def _inputs(self, rho) -> np.ndarray:
+        """``rho`` as a complex d_in x d_in matrix or a stack (..., d_in, d_in) of them."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.d_in, self.d_in):
+        if rho.shape[-2:] != (self.d_in, self.d_in):
             raise ValueError(f"state shape {rho.shape} does not match input dimension {self.d_in}")
-        return np.einsum("mbi,ij,mcj->bc", self.kraus, rho, self.kraus.conj())
+        return rho
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Channel action sum_j K_j rho K_j^dagger, on one matrix or a stack."""
+        return np.einsum("mbi,...ij,mcj->...bc", self.kraus, self._inputs(rho), self.kraus.conj())
 
     def apply_complementary(self, rho: np.ndarray) -> np.ndarray:
-        """Environment output W with W[j, k] = tr(K_j rho K_k^dagger)."""
-        a = self.kraus @ rho
-        return np.einsum("jbc,kbc->jk", a, self.kraus.conj())
+        """Environment output W with W[j, k] = tr(K_j rho K_k^dagger), on one matrix or a stack."""
+        a = self.kraus @ self._inputs(rho)[..., None, :, :]
+        return np.einsum("...jbc,kbc->...jk", a, self.kraus.conj())
 
     def apply_extended(self, rho: np.ndarray) -> np.ndarray:
         """Action of id (x) T on a state of an auxiliary copy of the input paired with it."""
@@ -73,13 +79,6 @@ class QuantumChannel:
         """Normalized Choi state: id (x) T applied to the maximally entangled state."""
         omega = maximally_entangled_state(self.d_in)
         return self.apply_extended(np.outer(omega, omega.conj()))
-
-    def check_complete_positivity(self, tol: float = VALIDATION_TOL) -> float:
-        """Minimum Choi eigenvalue; raises if below -tol."""
-        lam_min = float(np.linalg.eigvalsh(self.choi())[0])
-        if lam_min < -tol:
-            raise ValueError(f"channel is not completely positive (Choi min eig {lam_min:.3e})")
-        return lam_min
 
 
 def pure_outputs(channel: QuantumChannel, states: np.ndarray) -> np.ndarray:

@@ -156,9 +156,9 @@ def check_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"state trace is {tr!r}, expected 1")
-    lam_min = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if lam_min < -tol:
-        raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
+    psd = is_psd(rho, tol)
+    if not psd.is_psd:
+        raise ValueError(f"state has negative eigenvalue {psd.min_eigenvalue:.3e}")
 
 
 def maximally_entangled_state(d: int) -> np.ndarray:
@@ -208,13 +208,8 @@ def eigensystem_log(eig: Eigensystem) -> np.ndarray:
 
 
 def log_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of a positive semidefinite matrix with floored eigenvalue logs.
-
-    The floor subsumes the clamp: max(max(w, 0), LOG_FLOOR) = max(w, LOG_FLOOR),
-    so the eigenvalues go to ``floored_log`` unclamped, with the same bits.
-    """
-    w, v = np.linalg.eigh(m)
-    return spectral_matrix(v, floored_log(w))
+    """Matrix logarithm of a positive semidefinite matrix with floored eigenvalue logs."""
+    return eigensystem_log(clamped_eigh(m))
 
 
 def log_divided_differences(w: np.ndarray) -> np.ndarray:

@@ -62,6 +62,24 @@ class TestApply:
         with pytest.raises(ValueError):
             identity_channel(2).apply(np.eye(3) / 3)
 
+    def test_stacks_match_per_matrix_calls(self):
+        # both actions take a stack (..., d_in, d_in) and act on each matrix as
+        # a single call would, to the last bit; both name a wrong trailing
+        # shape (apply_complementary once met it with a bare matmul error)
+        for din in range(1, 5):
+            for dout in range(1, 4):
+                chan = random_channel(din, dout, seed=(95, din, dout))
+                g = np.random.default_rng((96, din, dout))
+                shape = (2, 3, din, din)
+                stack = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                for act in (chan.apply, chan.apply_complementary):
+                    got = act(stack)
+                    for idx in np.ndindex(2, 3):
+                        np.testing.assert_array_equal(got[idx], act(stack[idx]))
+                    for wrong in [(din,), (din, din + 1), (din + 1, din + 1), (3, din + 1, din)]:
+                        with pytest.raises(ValueError, match="does not match input dimension"):
+                            act(np.zeros(wrong))
+
 
 class TestApplyExtended:
     def test_product_input_factorizes(self):

@@ -55,7 +55,7 @@ STEP_FLOOR = 1e-8  # smallest step of every line search; below it the search giv
 MIN_BB_STEP = 1e-3  # Barzilai-Borwein steps (sphere ascent, witness sweeps) are raised to this
 MAX_MOVE = 1e3  # bound on an ascent move, step * |tangent|: flat objectives step long
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
-GRAD_TOL_RANGE = (1e-9, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
+GRAD_TOL_RANGE = (1e-8, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
 POSITION_SWEEPS = 6  # witness-position ascent sweeps per outer iteration of the Holevo solver
 MIN_SLOPE = 1e-16  # witnesses stop moving at or below this ascent slope

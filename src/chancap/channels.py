@@ -71,9 +71,9 @@ class QuantumChannel:
             raise ValueError(
                 f"state shape {rho.shape} does not match extended dimension {d * d}"
             )
-        r = rho.reshape(d, d, d, d)  # (a', a, b', b) with primes on the row side
-        out = np.einsum("mxa,paqb,myb->pxqy", self.kraus, r, self.kraus.conj())
-        return out.reshape(d * self.d_out, d * self.d_out)
+        # block (a', b') of (id (x) T)(rho) is T of block (a', b') of rho
+        blocks = self.apply(rho.reshape(d, d, d, d).swapaxes(1, 2))
+        return blocks.swapaxes(1, 2).reshape(d * self.d_out, d * self.d_out)
 
     def choi(self) -> np.ndarray:
         """Normalized Choi state: id (x) T applied to the maximally entangled state."""

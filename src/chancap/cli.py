@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -295,6 +294,8 @@ def _run_trials(fn, args, items):
     work = functools.partial(fn, args)
     if jobs <= 1 or len(items) <= 1:
         return [work(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # here: serial runs never load multiprocessing
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(work, items, chunksize=max(1, len(items) // (4 * jobs))))
 

@@ -394,3 +394,13 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_worker_pool():
+    # the pool is imported where --jobs starts workers, so capacity, chain and
+    # every serial run start without concurrent.futures or multiprocessing
+    pool = ("concurrent", "multiprocessing")
+    code = f"import sys, chancap.cli; print([m for m in sys.modules if m.split('.')[0] in {pool}])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

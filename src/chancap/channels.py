@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .linalg import (
     VALIDATION_TOL, hermitian_eig, maximally_entangled_state, seeded_rng
 )
 
-KRAUS_CUTOFF = 1e-14  # Choi eigenvalues at or below this give no Kraus operator
+KRAUS_CUTOFF = 1e-14  # Choi eigenvalues (depolarizing: Weyl weights) at or below this give no Kraus operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +101,10 @@ def depolarizing_channel(d: int, p: float) -> QuantumChannel:
     """Mix the input with the maximally mixed state: rho -> (1-p) rho + p tr(rho) I/d.
 
     The map is completely positive for 0 <= p <= d^2/(d^2 - 1); outside this
-    range a ValueError is raised.
+    range a ValueError is raised. It is the mixture of the d^2 Weyl unitaries
+    X^a Z^b (X the cyclic shift, Z the clock diag(w^j), w = e^{2 pi i/d}), with
+    weight 1 - p + p/d^2 on the identity and p/d^2 on each other one: its
+    Choi eigenvalues. Weights at or below ``KRAUS_CUTOFF`` give no operator.
     """
     if d < 2:
         raise ValueError("depolarizing channel needs dimension >= 2")
@@ -108,9 +112,21 @@ def depolarizing_channel(d: int, p: float) -> QuantumChannel:
     if not 0.0 <= p <= p_max + 1e-12:
         raise ValueError(f"p={p} outside the completely positive range [0, {p_max}]")
     dd = d * d
-    omega = maximally_entangled_state(d)
-    choi = (1.0 - p) * np.outer(omega, omega.conj()) + (p / dd) * np.eye(dd)
-    return kraus_from_choi(choi, d, d)
+    weights = np.full(dd, p / dd)
+    weights[0] = max(1.0 - p + p / dd, 0.0)  # slightly negative within the slack above the edge
+    keep = weights > KRAUS_CUTOFF
+    return QuantumChannel(np.sqrt(weights[keep])[:, None, None] * _weyl_operators(d)[keep])
+
+
+@lru_cache(maxsize=8)  # a sweep builds many channels of one dimension
+def _weyl_operators(d: int) -> np.ndarray:
+    """Read-only stack of the d^2 Weyl unitaries X^a Z^b at index a d + b, the identity first."""
+    a, b, j = np.ogrid[:d, :d, :d]
+    weyl = np.zeros((d, d, d, d), dtype=complex)
+    weyl[a, b, (j + a) % d, j] = np.exp(2j * np.pi / d * (b * j % d))
+    weyl = weyl.reshape(d * d, d, d)
+    weyl.flags.writeable = False
+    return weyl
 
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> QuantumChannel:

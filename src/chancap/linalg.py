@@ -78,11 +78,14 @@ def hermitian_eig(m: np.ndarray, atol: float = VALIDATION_TOL) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is symmetrized as (m + m^dagger)/2 before decomposition;
-    deviations from Hermiticity beyond ``atol`` raise ValueError.
+    deviations from Hermiticity beyond ``atol``, and non-finite entries,
+    raise ValueError.
     """
     m = np.asarray(m, dtype=complex)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > atol:
+    if not dev <= atol:  # a nan deviation fails too
+        if not np.isfinite(dev):
+            raise ValueError("matrix contains non-finite entries")
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return Eigensystem(w, v)
@@ -103,7 +106,9 @@ def schmidt_decompose(v: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposit
     if v.shape[0] != d1 * d2:
         raise ValueError(f"vector length {v.shape[0]} does not match dims {d1}x{d2}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > VALIDATION_TOL:
+    if not abs(nrm - 1.0) <= VALIDATION_TOL:  # a nan norm fails too
+        if not np.isfinite(nrm):
+            raise ValueError("vector contains non-finite entries")
         raise ValueError(f"vector is not normalized (norm {nrm!r})")
     u, s, vh = np.linalg.svd(v.reshape(d1, d2), full_matrices=True)
     right = vh.T.copy()  # columns f_k with entries f_k[j] = vh[k, j]

@@ -314,7 +314,7 @@ class TestHolevoQuantity:
         # the uniform ensemble over the computational basis, whose barycenter
         # it is, attains the minimax value: that ensemble closes the gap after
         # the first inner ascent and is returned as the certificate
-        for d, value in ((2, 0.13081203594113716), (3, 0.23104906018664892)):
+        for d, value in ((2, 0.13081203594113705), (3, 0.23104906018664914)):
             est = holevo_quantity(
                 depolarizing_channel(d, 0.5),
                 tol=SWEEP_TOL,
@@ -326,6 +326,7 @@ class TestHolevoQuantity:
             assert np.array_equal(est.witnesses, np.eye(d))
             assert np.array_equal(est.weights, np.full(d, 1.0 / d))
             assert est.value_nats == value
+            assert abs(est.value_nats - depolarizing_ch_nats(d, 0.5)) <= 1e-15
 
     def test_exact_families_close_at_the_first_reference(self):
         # on these unitarily covariant channels the basis ensemble certifies

@@ -9,10 +9,12 @@ from chancap import (
     channel_to_json,
     depolarizing_channel,
     identity_channel,
+    kraus_from_choi,
     random_channel,
     random_density_matrix,
     random_pure_state,
 )
+from chancap.channels import depolarizing_cp_limit
 from chancap.linalg import check_density_matrix, partial_trace, tensor_product
 from oracles import replacement_channel
 
@@ -148,7 +150,72 @@ class TestReplacementChannel:
         )
 
 
+def depolarizing_choi(d, p):
+    """Closed-form normalized Choi state (1 - p) Omega Omega^dagger + (p/d^2) I."""
+    omega = bell_state(d)
+    return (1.0 - p) * np.outer(omega, omega.conj()) + (p / d**2) * np.eye(d * d)
+
+
+DEPOLARIZING_CASES = [
+    (d, p) for d in (2, 3, 4, 5) for p in (0.0, 0.3, 0.999, 1.0, depolarizing_cp_limit(d))
+]
+
+
 class TestDepolarizing:
+    def test_kraus_operators_are_weighted_unitaries(self):
+        # the map is a mixture of the Weyl unitaries, so K^dagger K is c I
+        for d, p in DEPOLARIZING_CASES:
+            k = depolarizing_channel(d, p).kraus
+            gram = k.conj().swapaxes(1, 2) @ k
+            scale = np.trace(gram, axis1=1, axis2=2).real / d
+            assert np.max(np.abs(gram - scale[:, None, None] * np.eye(d))) <= 1e-15, (d, p)
+
+    def test_choi_state_is_the_closed_form(self):
+        for d, p in DEPOLARIZING_CASES:
+            dev = np.max(np.abs(depolarizing_channel(d, p).choi() - depolarizing_choi(d, p)))
+            assert dev <= 1e-15, (d, p)
+
+    def test_kraus_counts(self):
+        # the identity weight 1 - p + p/d^2 vanishes at the edge of complete
+        # positivity and goes slightly negative within the slack above it
+        for d in (2, 3, 4, 5):
+            edge = depolarizing_cp_limit(d)
+            for p, count in (
+                (0.0, 1), (0.3, d * d), (0.999, d * d), (1.0, d * d),
+                (edge, d * d - 1), (edge + 5e-13, d * d - 1),
+            ):
+                assert len(depolarizing_channel(d, p).kraus) == count, (d, p)
+
+    def test_unitary_covariance(self):
+        for d, p in DEPOLARIZING_CASES:
+            chan = depolarizing_channel(d, p)
+            u = random_channel(d, d, kraus_count=1, seed=(27, d)).kraus[0]  # Haar-random
+            rho = random_density_matrix(d, d, (28, d))
+            dev = chan.apply(u @ rho @ u.conj().T) - u @ chan.apply(rho) @ u.conj().T
+            assert np.max(np.abs(dev)) <= 1e-14, (d, p)
+
+    def test_acts_as_the_choi_eigendecomposition(self):
+        # oracle: the Kraus family read off the eigenvectors of the Choi state
+        for d, p in DEPOLARIZING_CASES:
+            oracle = kraus_from_choi(depolarizing_choi(d, p), d, d)
+            rho = random_density_matrix(d, d, (29, d))
+            dev = depolarizing_channel(d, p).apply(rho) - oracle.apply(rho)
+            assert np.max(np.abs(dev)) <= 1e-14, (d, p)
+
+    def test_builds_without_an_eigensolver(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _solver=solver, **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for d, p in DEPOLARIZING_CASES:
+            depolarizing_channel(d, p)
+        assert calls == []
+
     def test_p_zero_is_identity_on_basis(self):
         chan = depolarizing_channel(3, 0.0)
         for i in range(3):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from chancap import (
+    dominance_constant,
     hermitian_eig,
     is_psd,
+    log_derivative_form,
     partial_trace,
     random_density_matrix,
     random_pure_state,
+    relative_entropy,
     schmidt_decompose,
     tensor_product,
 )
@@ -177,6 +180,34 @@ class TestSchmidt:
         schmidt_decompose(v * (1.0 + 5e-11), (2, 2))
         with pytest.raises(ValueError):
             schmidt_decompose(v * (1.0 + 5e-10), (2, 2))
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "hermitian_eig": lambda tau, rho, v: hermitian_eig(tau),
+    "relative_entropy": lambda tau, rho, v: relative_entropy(rho, tau),
+    "log_derivative_form": lambda tau, rho, v: log_derivative_form(tau, rho - tau),
+    "dominance_constant": lambda tau, rho, v: dominance_constant(rho, tau),
+    "schmidt_decompose": lambda tau, rho, v: schmidt_decompose(v, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_non_finite_inputs_raise_value_error(entry, bad, where):
+    # a nan deviation from Hermiticity or from unit norm compares False
+    # against any tolerance; the check must still reject it, by name
+    tau = random_density_matrix(2, 2, 41)
+    rho = random_density_matrix(2, 2, 42)
+    v = random_pure_state(4, 43)
+    if where == "diagonal":  # the vector takes it in its first entry, else its second
+        tau[1, 1] = bad
+        v[0] = bad
+    else:
+        tau[0, 1] = tau[1, 0] = bad
+        v[1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        NON_FINITE_ENTRY_POINTS[entry](tau, rho, v)
 
 
 class TestIsPsd:

@@ -46,7 +46,6 @@ DEFAULT_MAX_ITER = 5000
 DEFAULT_RESTARTS = 32
 SUP_RESTARTS = 8  # random sphere-ascent starts of the standalone supremum and of the sweep
 SWEEP_TOL = 1e-10  # the depolarizing sweep solves at least this tightly
-SWEEP_MAX_ITER = 2000
 RATIO_CUTOFF_BITS = 1e-9  # C_E / C_H is undefined where C_H is at or below this (0/0 region)
 ANCHOR_MIX = 1e-12  # weight of T(I/d) in the inner ascent's reference (holevo_quantity)
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
@@ -67,9 +66,10 @@ MERGE_OVERLAP = 1.0 - 1e-3  # a sphere-ascent row this close to a higher row mer
 class CapacityEstimate:
     """Solver output in nats (bits are ``value_nats / LN2``): value, optimality gap, witnesses.
 
-    ``stop_reason`` says why the solver stopped: ``"gap"`` (the gap closed to
-    the tolerance), ``"step_floor"`` (a line search gave up below STEP_FLOOR;
-    C_E only) or ``"max_iter"`` (out of iterations with the gap still open).
+    ``stop_reason`` says why the solver stopped: ``"gap"`` (the final gap is
+    within the tolerance, which is what ``converged`` means), ``"step_floor"``
+    (a line search gave up below STEP_FLOOR; C_E only) or ``"max_iter"`` (out
+    of iterations with the gap still open).
 
     ``lower_nats`` and ``upper_nats`` bound the capacity from each side. For
     C_E they are the value, attained at ``argmax_state``, and the value plus
@@ -84,7 +84,6 @@ class CapacityEstimate:
     value_nats: float
     gap_bound: float
     iterations: int
-    converged: bool
     stop_reason: str
     lower_nats: float
     upper_nats: float
@@ -92,6 +91,10 @@ class CapacityEstimate:
     witnesses: list[np.ndarray] | None = None
     weights: np.ndarray | None = None
     barycenter: np.ndarray | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gap"
 
 
 class SweepPoint(NamedTuple):
@@ -255,7 +258,6 @@ def entanglement_assisted_capacity(
     stop_reason = "max_iter"
     for iterations in range(1, max_iter + 1):
         if gap <= tol:
-            stop_reason = "gap"
             break
         found = None
         images = images or _traceless_images(channel)
@@ -265,20 +267,18 @@ def entanglement_assisted_capacity(
         if found is None:
             found = _line_search(channel, h, grad, point, grad, gap)
         if found is None:
-            stop_reason = "step_floor"  # the gap is reported as it stands
+            stop_reason = "step_floor"  # with the gap open, reported as it stands
             break
         h, point, certificate = found
         h = h - point.logit_max * np.eye(d)  # keep logits bounded
         grad, gap = certificate or _gradient_and_gap(channel, point)
-    else:  # out of iterations: the gap at the last accepted point
-        if gap <= tol:
-            stop_reason = "gap"
+    if gap <= tol:  # the gap at the last accepted point
+        stop_reason = "gap"
     value = max(0.0, point.value)
     return CapacityEstimate(
         value_nats=value,
         gap_bound=gap,
         iterations=iterations,
-        converged=stop_reason == "gap",
         stop_reason=stop_reason,
         lower_nats=value,
         upper_nats=value + gap,
@@ -668,14 +668,12 @@ def holevo_quantity(
         avg = np.einsum("r,rij->ij", weights, outs)
         sigma = (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * image_anchor
     gap = max(value_best - chi_best, 0.0)  # the reported value is at least chi_best
-    converged = gap <= tol
     value = max(0.0, value_best, chi_best)
     return CapacityEstimate(
         value_nats=value,
         gap_bound=gap,
         iterations=iterations,
-        converged=converged,
-        stop_reason="gap" if converged else "max_iter",
+        stop_reason="gap" if gap <= tol else "max_iter",
         lower_nats=chi_best,
         upper_nats=value,
         witnesses=list(certificate[0]),
@@ -700,14 +698,16 @@ def depolarizing_capacity_sweep(
     p_grid=None,
     tol: float = SWEEP_TOL,
     restarts: int = SUP_RESTARTS,
-    max_iter: int = SWEEP_MAX_ITER,
+    max_iter: int = DEFAULT_MAX_ITER,
     seed=0,
 ) -> list[SweepPoint]:
     """Both capacities of the depolarizing family over a grid of mixing weights.
 
     The default grid is 81 uniform points on the completely positive range
-    plus the near-total-noise probe 0.999. The ratio is ``capacity_ratio``.
+    plus the near-total-noise probe 0.999. Both solvers run at the tighter of
+    ``tol`` and ``SWEEP_TOL``. The ratio is ``capacity_ratio``.
     """
+    tol = min(tol, SWEEP_TOL)
     if p_grid is None:
         p_grid = depolarizing_grid(d)
     rows = []

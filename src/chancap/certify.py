@@ -219,7 +219,7 @@ def chain_report(
     joint = channel.apply_extended(rho)
     mutual = mutual_information(channel, partial_trace(rho, 1, (d, d)))
     reference = tensor_product(partial_trace(rho, 0, (d, d)), sigma)
-    reference_eig = hermitian_eig(reference, atol=INPUT_TOL)
+    reference_eig = hermitian_eig(reference)
     anchored = float(_relative_entropies(joint[None], trace_xlogx(joint[None]), reference_eig)[0])
     quadratic = float(_log_derivative_forms((joint - reference)[None], reference_eig)[0])
 
@@ -228,7 +228,7 @@ def chain_report(
     # for the entropy link
     decomposed_w = np.concatenate([alpha2, 0.5 * np.maximum(alpha2[ks], alpha2[ls])])
     entropy_w = np.concatenate([alpha2, 0.5 * (alpha2[ks] + alpha2[ls])])
-    sigma_eig = hermitian_eig(sigma, atol=INPUT_TOL)
+    sigma_eig = hermitian_eig(sigma)
     decomposed = float(decomposed_w @ _log_derivative_forms(outs - sigma, sigma_eig))
 
     xlogx = trace_xlogx(outs)
@@ -241,7 +241,7 @@ def chain_report(
         tau = np.asarray(tau, dtype=complex)
         if tau.shape != sigma.shape:
             raise ValueError(f"reference shape {tau.shape} does not match outputs {sigma.shape}")
-        at_tau = _relative_entropies(outs, xlogx, hermitian_eig(tau, atol=INPUT_TOL))
+        at_tau = _relative_entropies(outs, xlogx, hermitian_eig(tau))
     sup_value, _ = max_output_divergence(
         channel, tau, restarts=sup_restarts, seed=sup_seed
     )

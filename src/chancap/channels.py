@@ -8,9 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (
-    VALIDATION_TOL, hermitian_eig, maximally_entangled_state, seeded_rng
-)
+from .linalg import INPUT_TOL, VALIDATION_TOL, hermitian_eig, seeded_rng
 
 KRAUS_CUTOFF = 1e-14  # Choi eigenvalues (depolarizing: Weyl weights) at or below this give no Kraus operator
 
@@ -76,11 +74,6 @@ class QuantumChannel:
         blocks = self.apply(rho.reshape(d, d, d, d).swapaxes(1, 2))
         return blocks.swapaxes(1, 2).reshape(d * self.d_out, d * self.d_out)
 
-    def choi(self) -> np.ndarray:
-        """Normalized Choi state: id (x) T applied to the maximally entangled state."""
-        omega = maximally_entangled_state(self.d_in)
-        return self.apply_extended(np.outer(omega, omega.conj()))
-
 
 def pure_outputs(channel: QuantumChannel, states: np.ndarray) -> np.ndarray:
     """Outputs T(psi psi^dagger) for a stack of input vectors psi, one per row."""
@@ -130,15 +123,16 @@ def _weyl_operators(d: int) -> np.ndarray:
 
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> QuantumChannel:
-    """Rebuild a Kraus family from a normalized Choi state via eigendecomposition."""
-    w, v = hermitian_eig(np.asarray(choi, dtype=complex))
+    """Rebuild a Kraus family from a normalized Choi state via eigendecomposition.
+    The state is outside data: it and the rebuilt family are checked within ``INPUT_TOL``."""
+    w, v = hermitian_eig(choi)
     ops = []
     for lam, col in zip(w, v.T):
         if lam > KRAUS_CUTOFF:
             ops.append(np.sqrt(d_in * lam) * col.reshape(d_in, d_out).T)
     if not ops:
         raise ValueError("Choi matrix has no positive eigenvalues")
-    return QuantumChannel(np.stack(ops))
+    return QuantumChannel(np.stack(ops), atol=INPUT_TOL)
 
 
 def random_channel(d_in: int, d_out: int, kraus_count: int | None = None, seed=0) -> QuantumChannel:
@@ -180,10 +174,10 @@ def channel_to_json(channel: QuantumChannel) -> str:
     return json.dumps(payload)
 
 
-def channel_from_json(text: str, atol: float = VALIDATION_TOL) -> QuantumChannel:
-    """Parse the interchange format. A fault in a field, a shape or an entry, or a map
-    that is not trace preserving, is a ValueError that names it. Integers are read as
-    doubles: one beyond the double range is an infinite entry, which the channel rejects."""
+def channel_from_json(text: str) -> QuantumChannel:
+    """Parse the interchange format. A fault in a field, a shape or an entry, or a map that
+    is not trace preserving within ``INPUT_TOL``, is a ValueError that names it. Integers are
+    read as doubles: one beyond the double range is an infinite entry, which the channel rejects."""
     payload = json.loads(text, parse_int=float)
     if not isinstance(payload, dict):
         raise ValueError("channel JSON must be an object with fields d_in, d_out and kraus")
@@ -209,4 +203,4 @@ def channel_from_json(text: str, atol: float = VALIDATION_TOL) -> QuantumChannel
                         f"kraus operator {m} entry ({b},{a}) is not a [re, im] pair of numbers"
                     )
     # the [re, im] pairs of a C-ordered double array are its complex entries, bit for bit
-    return QuantumChannel(np.array(raw, dtype=float).view(complex)[..., 0], atol=atol)
+    return QuantumChannel(np.array(raw, dtype=float).view(complex)[..., 0], atol=INPUT_TOL)

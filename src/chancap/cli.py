@@ -55,7 +55,7 @@ def _load_channel(args) -> channels.QuantumChannel:
     except OSError as exc:
         raise ValueError(f"cannot read channel file: {exc}") from exc
     try:
-        return channels.channel_from_json(text, atol=linalg.INPUT_TOL)
+        return channels.channel_from_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
@@ -231,8 +231,7 @@ def cmd_chain(args) -> int:
 
 def _sweep_point(args, p: float):
     rows = capacity.depolarizing_capacity_sweep(
-        2, [p], tol=min(args.tol, capacity.SWEEP_TOL), restarts=args.restarts,
-        max_iter=args.max_iter, seed=args.seed,
+        2, [p], tol=args.tol, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
     )
     return rows[0]
 

@@ -35,6 +35,14 @@ class RelEntropyResult(NamedTuple):
     kernel_violation: bool
 
 
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as complex arrays of one shape; a ValueError names both shapes otherwise."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-tr(rho ln rho) in nats, with 0 ln 0 = 0."""
     return float(-trace_xlogx(rho))
@@ -47,11 +55,8 @@ def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
     kernel threshold; rho mass on the complement beyond ``KERNEL_MASS_TOL``
     yields an infinite result rather than an error.
     """
-    rho = np.asarray(rho, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
-    if rho.shape != tau.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
-    ref = hermitian_eig(tau, atol=INPUT_TOL)
+    rho, tau = _operands(rho, tau)
+    ref = hermitian_eig(tau)
     value = float(_relative_entropies(rho[None], trace_xlogx(rho)[None], ref)[0])
     return RelEntropyResult(value, value == float("inf"))
 
@@ -80,11 +85,8 @@ def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
     ``KERNEL_MASS_TOL`` and make the form infinite otherwise. ``tau`` may be
     any positive semidefinite operator; it is not assumed to have unit trace.
     """
-    tau = np.asarray(tau, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    if tau.shape != eta.shape:
-        raise ValueError(f"shape mismatch {tau.shape} vs {eta.shape}")
-    return float(_log_derivative_forms(eta[None], hermitian_eig(tau, atol=INPUT_TOL))[0])
+    tau, eta = _operands(tau, eta)
+    return float(_log_derivative_forms(eta[None], hermitian_eig(tau))[0])
 
 
 def _log_derivative_forms(etas: np.ndarray, ref: Eigensystem) -> np.ndarray:
@@ -127,11 +129,12 @@ def lower_bound_factor(k: float) -> float:
 
 def dominance_constant(rho: np.ndarray, tau: np.ndarray) -> float:
     """Smallest k >= 1 with k tau >= rho, from the tau-whitened spectral radius."""
-    mu, h = hermitian_eig(np.asarray(tau, dtype=complex), atol=INPUT_TOL)
+    rho, tau = _operands(rho, tau)
+    mu, h = hermitian_eig(tau)
     if mu[0] <= INPUT_TOL:  # singular within the accuracy of outside data
         raise ValueError(f"reference state must be full rank (min eigenvalue {mu[0]:.3e})")
     whitener = h / np.sqrt(mu)
-    white = whitener.conj().T @ np.asarray(rho, dtype=complex) @ whitener
+    white = whitener.conj().T @ rho @ whitener
     radius = float(np.linalg.eigvalsh((white + white.conj().T) / 2.0)[-1])
     return max(1.0, radius)
 

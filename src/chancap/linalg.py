@@ -74,16 +74,16 @@ def partial_trace(m: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray
     raise ValueError("keep must be 0 or 1")
 
 
-def hermitian_eig(m: np.ndarray, atol: float = VALIDATION_TOL) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(m: np.ndarray) -> Eigensystem:
+    """Eigendecomposition of a Hermitian matrix from outside, eigenvalues ascending.
 
     The input is symmetrized as (m + m^dagger)/2 before decomposition;
-    deviations from Hermiticity beyond ``atol``, and non-finite entries,
+    deviations from Hermiticity beyond ``INPUT_TOL``, and non-finite entries,
     raise ValueError.
     """
     m = np.asarray(m, dtype=complex)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if not dev <= atol:  # a nan deviation fails too
+    if not dev <= INPUT_TOL:  # a nan deviation fails too
         if not np.isfinite(dev):
             raise ValueError("matrix contains non-finite entries")
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

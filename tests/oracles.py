@@ -12,6 +12,8 @@ depolarizing channel at any dimension and mixing weight, the erasure channel
 and the Werner-Holevo channel. The superposition family is built vector by
 vector as the reference for the certifier's stacked family, and the
 replacement channel is a constant map built from its output's eigenvectors.
+The Choi state is the channel's extended action on a maximally entangled
+input.
 """
 
 import math
@@ -34,6 +36,7 @@ from chancap.linalg import (
     clamped_eigh,
     eigensystem_log,
     hermitian_eig,
+    maximally_entangled_state,
     partial_trace,
     schmidt_decompose,
     xlogx_sum,
@@ -80,6 +83,12 @@ def superposition_family(basis: np.ndarray):
     for k, l in permutations(range(d), 2):
         for a in range(4):
             yield (k, l, a), superposition_state(basis, k, l, a)
+
+
+def choi_state(channel: QuantumChannel) -> np.ndarray:
+    """Normalized Choi state: id (x) T applied to the maximally entangled state."""
+    omega = maximally_entangled_state(channel.d_in)
+    return channel.apply_extended(np.outer(omega, omega.conj()))
 
 
 def replacement_channel(sigma: np.ndarray, d_in: int) -> QuantumChannel:

@@ -26,7 +26,6 @@ from chancap.capacity import (
     GRAD_TOL_RANGE,
     LN2,
     SUP_RESTARTS,
-    SWEEP_MAX_ITER,
     SWEEP_TOL,
     _alphabet,
     _divergences_and_grads,
@@ -319,7 +318,6 @@ class TestHolevoQuantity:
                 depolarizing_channel(d, 0.5),
                 tol=SWEEP_TOL,
                 restarts=SUP_RESTARTS,
-                max_iter=SWEEP_MAX_ITER,
                 seed=0,
             )
             assert est.converged and est.stop_reason == "gap" and est.iterations == 1
@@ -970,6 +968,18 @@ class TestSweep:
         for a, b in zip(rows, rows[1:]):
             assert b.ce_bits <= a.ce_bits + 1e-9
             assert b.ch_bits <= a.ch_bits + 1e-9
+
+    def test_solves_at_most_at_sweep_tol(self, monkeypatch):
+        tols = []
+        for name in ("entanglement_assisted_capacity", "holevo_quantity"):
+
+            def recorded(*args, solver=getattr(capacity_module, name), **kwargs):
+                tols.append(kwargs["tol"])
+                return solver(*args, **kwargs)
+
+            monkeypatch.setattr(capacity_module, name, recorded)
+        depolarizing_capacity_sweep(p_grid=[0.5], tol=1e-7)
+        assert len(tols) == 2 and max(tols) <= SWEEP_TOL
 
     def test_default_grid_has_probe_point(self):
         rows = depolarizing_capacity_sweep(p_grid=None, max_iter=5)  # grid shape only

@@ -16,7 +16,7 @@ from chancap import (
 )
 from chancap.channels import depolarizing_cp_limit
 from chancap.linalg import check_density_matrix, partial_trace, tensor_product
-from oracles import replacement_channel
+from oracles import choi_state, replacement_channel
 
 
 def bell_state(d=2):
@@ -172,7 +172,7 @@ class TestDepolarizing:
 
     def test_choi_state_is_the_closed_form(self):
         for d, p in DEPOLARIZING_CASES:
-            dev = np.max(np.abs(depolarizing_channel(d, p).choi() - depolarizing_choi(d, p)))
+            dev = np.max(np.abs(choi_state(depolarizing_channel(d, p)) - depolarizing_choi(d, p)))
             assert dev <= 1e-15, (d, p)
 
     def test_kraus_counts(self):
@@ -225,7 +225,7 @@ class TestDepolarizing:
 
     def test_boundary_choi_eigenvalue(self):
         chan = depolarizing_channel(2, 4.0 / 3.0)
-        lam_min = float(np.linalg.eigvalsh(chan.choi())[0])
+        lam_min = float(np.linalg.eigvalsh(choi_state(chan))[0])
         assert abs(lam_min) <= 1e-10
 
     def test_out_of_range(self):
@@ -267,16 +267,17 @@ class TestRandomChannel:
 
 class TestChoi:
     def test_identity_gives_maximally_entangled(self):
-        choi = identity_channel(2).choi()
+        choi = choi_state(identity_channel(2))
         v = bell_state()
         np.testing.assert_allclose(choi, np.outer(v, v.conj()), atol=1e-12)
 
     def test_constant_channel_gives_maximally_mixed(self):
-        np.testing.assert_allclose(depolarizing_channel(2, 1.0).choi(), np.eye(4) / 4, atol=1e-12)
+        choi = choi_state(depolarizing_channel(2, 1.0))
+        np.testing.assert_allclose(choi, np.eye(4) / 4, atol=1e-12)
 
     def test_choi_reconstructs_action(self):
         chan = random_channel(2, 3, seed=24)
-        choi = chan.choi()
+        choi = choi_state(chan)
         d = chan.d_in
         for i in range(d):
             for j in range(d):
@@ -287,9 +288,19 @@ class TestChoi:
                 direct = np.einsum("mbi,ij,mcj->bc", chan.kraus, basis_op, chan.kraus.conj())
                 np.testing.assert_allclose(block, direct, atol=1e-10)
 
+    def test_kraus_from_choi_holds_the_choi_state_to_input_tol(self):
+        # a Choi state is outside data: deviations of 5e-9 pass, 5e-8 do not
+        choi = choi_state(identity_channel(2))
+        skew = np.zeros_like(choi)
+        skew[0, 1] = 1.0
+        for step, message in ((skew, "not Hermitian"), (choi, "trace preserving")):
+            kraus_from_choi(choi + 5e-9 * step, 2, 2)
+            with pytest.raises(ValueError, match=message):
+                kraus_from_choi(choi + 5e-8 * step, 2, 2)
+
     def test_choi_invariants(self):
         chan = random_channel(3, 2, seed=25)
-        choi = chan.choi()
+        choi = choi_state(chan)
         assert np.linalg.eigvalsh(choi)[0] >= -1e-10
         # the output marginal of the Choi state is I/d_in: trace preservation
         marg = partial_trace(choi, 0, (chan.d_in, chan.d_out))
@@ -346,6 +357,15 @@ class TestJsonFormat:
         text = f'{{"d_in": {d_in}, "d_out": {d_out}, "kraus": {kraus}}}'
         with pytest.raises(ValueError, match=message):
             channel_from_json(text)
+
+    def test_trace_preservation_is_held_to_input_tol(self):
+        # a file is outside data: a trace deviation of 5e-9 passes, 5e-8 does not
+        payload = json.loads(channel_to_json(identity_channel(2)))
+        payload["kraus"][0][0][0] = [float(np.sqrt(1.0 + 5e-9)), 0.0]
+        channel_from_json(json.dumps(payload))
+        payload["kraus"][0][0][0] = [float(np.sqrt(1.0 + 5e-8)), 0.0]
+        with pytest.raises(ValueError, match="trace preserving"):
+            channel_from_json(json.dumps(payload))
 
     def test_missing_field(self):
         with pytest.raises(ValueError):

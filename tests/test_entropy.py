@@ -241,6 +241,13 @@ class TestLowerBoundFactor:
 
 
 class TestSandwich:
+    def test_operand_shapes_must_match(self):
+        small, large = np.eye(2) / 2, np.eye(3) / 3
+        for fn in (relative_entropy, log_derivative_form, dominance_constant):
+            for a, b in ((small, large), (large, small)):
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    fn(a, b)
+
     def test_dominance_needs_full_rank_reference(self):
         # a minimum eigenvalue within INPUT_TOL of zero is singular
         with pytest.raises(ValueError, match="full rank"):

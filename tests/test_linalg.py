@@ -128,6 +128,12 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_hermiticity_is_held_to_input_tol(self):
+        # a deviation of 5e-9 is within INPUT_TOL, 5e-8 is not
+        hermitian_eig(np.array([[1.0, 5e-9], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(np.array([[1.0, 5e-8], [0.0, 1.0]]))
+
 
 class TestSchmidt:
     def test_product_vector(self):

@@ -64,24 +64,23 @@ MERGE_OVERLAP = 1.0 - 1e-3  # a sphere-ascent row this close to a higher row mer
 
 @dataclass
 class CapacityEstimate:
-    """Solver output in nats (bits are ``value_nats / LN2``): value, optimality gap, witnesses.
+    """Solver output in nats (bits are nats / LN2): the two ends, their gap, witnesses.
 
     ``stop_reason`` says why the solver stopped: ``"gap"`` (the final gap is
     within the tolerance, which is what ``converged`` means), ``"step_floor"``
     (a line search gave up below STEP_FLOOR; C_E only) or ``"max_iter"`` (out
     of iterations with the gap still open).
 
-    ``lower_nats`` and ``upper_nats`` bound the capacity from each side. For
-    C_E they are the value, attained at ``argmax_state``, and the value plus
-    the concave gap certificate: both sound. For C_H the lower end is the
-    mixture divergence of the ensemble (``witnesses``, ``weights``), sound,
-    and the upper end is the best inner supremum found, heuristic, since
-    that inner problem is not concave. Where the uniform ensemble over the
-    computational basis closes the gap at the first reference, that
-    ensemble is the certificate.
+    ``lower_nats`` and ``upper_nats`` bound the capacity from each side; C_E
+    is reported by its lower end, attained at ``argmax_state``, and C_H by
+    its upper end. C_E's upper end adds the concave gap certificate: both
+    sound. C_H's lower end is the mixture divergence of the ensemble
+    (``witnesses``, ``weights``), sound, and its upper end the best inner
+    supremum found, heuristic, since that inner problem is not concave.
+    Where the uniform ensemble over the computational basis closes the gap
+    at the first reference, that ensemble is the certificate.
     """
 
-    value_nats: float
     gap_bound: float
     iterations: int
     stop_reason: str
@@ -102,6 +101,11 @@ class SweepPoint(NamedTuple):
     ce_bits: float
     ch_bits: float
     ratio: float | None
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < float("inf"):  # both solvers' tol: finite and positive; a nan fails
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _gradient(channel: QuantumChannel, eigensystems) -> np.ndarray:
@@ -249,6 +253,7 @@ def entanglement_assisted_capacity(
     eigendecomposition of H, T(rho) and T_c(rho) each, which give its value
     and, once accepted, its gradient and the Hessian of the Newton step.
     """
+    _check_tol(tol)
     d = channel.d_in
     images = None  # formed at the first step: solves that close at once never need them
     h = np.zeros((d, d), dtype=complex)
@@ -276,7 +281,6 @@ def entanglement_assisted_capacity(
         stop_reason = "gap"
     value = max(0.0, point.value)
     return CapacityEstimate(
-        value_nats=value,
         gap_bound=gap,
         iterations=iterations,
         stop_reason=stop_reason,
@@ -616,6 +620,7 @@ def holevo_quantity(
     ``_ensemble_point`` reproduces that bound exactly (a single witness
     certifies 0 without a fit). ``restarts`` must be at least 1.
     """
+    _check_tol(tol)
     d = channel.d_in
     image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
     sigma = image_anchor
@@ -630,7 +635,7 @@ def holevo_quantity(
     grad_tol = min(GRAD_TOL_RANGE[1], max(GRAD_TOL_RANGE[0], np.sqrt(tol) / 30.0))
     for iterations in range(1, max_iter + 1):
         fresh = _random_starts(seeded_rng(seed, iterations), restarts, d)
-        starts = np.concatenate([witnesses, fresh]) if len(witnesses) else fresh
+        starts = np.concatenate([witnesses, fresh])
         ln_sigma = log_matrix(sigma)
         vals, states, partner = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
         best = int(np.argmax(vals))
@@ -667,15 +672,13 @@ def holevo_quantity(
             weights = weights[keep] / weights[keep].sum()
         avg = np.einsum("r,rij->ij", weights, outs)
         sigma = (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * image_anchor
-    gap = max(value_best - chi_best, 0.0)  # the reported value is at least chi_best
-    value = max(0.0, value_best, chi_best)
+    gap = max(value_best - chi_best, 0.0)  # the upper end is at least chi_best
     return CapacityEstimate(
-        value_nats=value,
         gap_bound=gap,
         iterations=iterations,
         stop_reason="gap" if gap <= tol else "max_iter",
         lower_nats=chi_best,
-        upper_nats=value,
+        upper_nats=max(0.0, value_best, chi_best),
         witnesses=list(certificate[0]),
         weights=certificate[1],
         barycenter=sigma_best,
@@ -683,7 +686,7 @@ def holevo_quantity(
 
 
 def capacity_ratio(ce_bits: float, ch_bits: float) -> float | None:
-    """C_E / C_H, or None where C_H is at most RATIO_CUTOFF_BITS (the 0/0 region)."""
+    """C_E,lower / C_H,upper in bits, or None where C_H is at most RATIO_CUTOFF_BITS (0/0)."""
     return ce_bits / ch_bits if ch_bits > RATIO_CUTOFF_BITS else None
 
 
@@ -705,7 +708,8 @@ def depolarizing_capacity_sweep(
 
     The default grid is 81 uniform points on the completely positive range
     plus the near-total-noise probe 0.999. Both solvers run at the tighter of
-    ``tol`` and ``SWEEP_TOL``. The ratio is ``capacity_ratio``.
+    ``tol`` and ``SWEEP_TOL``. The ratio is ``capacity_ratio`` of C_E's lower end and
+    C_H's upper end, the row's ``ce_bits`` and ``ch_bits``.
     """
     tol = min(tol, SWEEP_TOL)
     if p_grid is None:
@@ -715,6 +719,6 @@ def depolarizing_capacity_sweep(
         chan = depolarizing_channel(d, float(p))
         ce = entanglement_assisted_capacity(chan, tol=tol, max_iter=max_iter)
         ch = holevo_quantity(chan, tol=tol, restarts=restarts, max_iter=max_iter, seed=seed)
-        ce_bits, ch_bits = ce.value_nats / LN2, ch.value_nats / LN2
+        ce_bits, ch_bits = ce.lower_nats / LN2, ch.upper_nats / LN2
         rows.append(SweepPoint(float(p), ce_bits, ch_bits, capacity_ratio(ce_bits, ch_bits)))
     return rows

@@ -15,7 +15,6 @@ evaluated against a single eigendecomposition of its reference state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ class ChainReport:
 
 @dataclass
 class RatioBoundCheck:
-    """Capacity pair with the prefactor slack for one channel."""
+    """``ce_bits`` (C_E's lower end), ``ch_bits`` (C_H's upper end) and the prefactor slack."""
 
     ce_bits: float
     ch_bits: float
@@ -95,17 +94,15 @@ def barycenter_dominance(d_in: int) -> float:
 
 
 def capacity_ratio_prefactor(d_in: int) -> float:
-    """Dimension-dependent factor bounding the capacity ratio.
+    """Dimension-dependent factor f(d) bounding the capacity ratio.
 
-    Evaluates (4d - 3)(2d - 5/2)^2 / ((2d - 3/2) ln(2d - 3/2) - 2d + 5/2);
-    requires d >= 2 (for d = 1 both capacities vanish and no factor is needed).
+    f(d) is the family's total weight over the lower sandwich factor g at the
+    barycenter's dominance constant, (4d - 3) / g(2d - 3/2); requires d >= 2
+    (for d = 1 both capacities vanish and no factor is needed).
     """
     if d_in < 2:
         raise ValueError("the prefactor is defined for input dimension >= 2")
-    d = float(d_in)
-    num = (4.0 * d - 3.0) * (2.0 * d - 2.5) ** 2
-    den = (2.0 * d - 1.5) * math.log(2.0 * d - 1.5) - 2.0 * d + 2.5
-    return num / den
+    return family_total_weight(d_in) / lower_bound_factor(barycenter_dominance(d_in))
 
 
 def _family_outputs(channel: QuantumChannel, basis: np.ndarray):
@@ -205,13 +202,14 @@ def chain_report(
         raise ValueError("the bound chain is defined for input dimension >= 2")
     v = _pure_vector(state, d)
     sd = schmidt_decompose(v, (d, d))
-    alpha2 = np.concatenate([sd.coefficients**2, np.zeros(d - sd.coefficients.size)])
+    alpha2 = sd.coefficients**2
     ks, ls, outs = _family_outputs(channel, sd.basis_right)
 
     sigma = output_barycenter(channel, sd)
     k_dom = barycenter_dominance(d)
     total = family_total_weight(d)
     g = lower_bound_factor(k_dom)
+    prefactor = capacity_ratio_prefactor(d)
     margins = _margins(outs, sigma, d)
 
     # the auxiliary factor is the first one; the channel acts on the second
@@ -245,7 +243,7 @@ def chain_report(
     sup_value, _ = max_output_divergence(
         channel, tau, restarts=sup_restarts, seed=sup_seed
     )
-    capacity_bound = (total / g) * max(sup_value, float(np.max(at_tau)))
+    capacity_bound = prefactor * max(sup_value, float(np.max(at_tau)))
 
     chain = (mutual, anchored, quadratic, decomposed, entropy_bound, capacity_bound)
     monotone = all(chain[i] <= chain[i + 1] + tol for i in range(len(chain) - 1))
@@ -259,7 +257,7 @@ def chain_report(
         support_margins=margins,
         total_weight=total,
         dominance=k_dom,
-        prefactor=capacity_ratio_prefactor(d),
+        prefactor=prefactor,
         monotone_ok=monotone,
     )
 
@@ -277,15 +275,15 @@ def verify_ratio_bound(
     certified lower end of C_H (the witness ensemble's mixture divergence)
     and the certified upper end of C_E (its value plus its gap); the bound
     holds when slack is at least -2 times the solver tolerance converted to
-    bits. ``ce_bits`` and ``ch_bits`` are the solvers' values.
+    bits. ``ce_bits`` is C_E's lower end and ``ch_bits`` C_H's upper end.
     """
     ce = entanglement_assisted_capacity(channel, tol=tol, max_iter=max_iter)
     ch = holevo_quantity(channel, tol=tol, restarts=restarts, max_iter=max_iter, seed=seed)
     pre = capacity_ratio_prefactor(channel.d_in)
     slack = (pre * ch.lower_nats - ce.upper_nats) / LN2
     return RatioBoundCheck(
-        ce_bits=ce.value_nats / LN2,
-        ch_bits=ch.value_nats / LN2,
+        ce_bits=ce.lower_nats / LN2,
+        ch_bits=ch.upper_nats / LN2,
         prefactor=pre,
         slack_bits=slack,
         ce_converged=ce.converged,

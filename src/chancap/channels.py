@@ -28,7 +28,7 @@ class QuantumChannel:
 
     def __post_init__(self):
         k = np.asarray(self.kraus, dtype=complex)
-        if k.ndim != 3 or k.shape[0] < 1:
+        if k.ndim != 3 or k.size == 0:
             raise ValueError("kraus must be a nonempty stack of d_out x d_in matrices")
         if not np.all(np.isfinite(k)):
             raise ValueError("kraus operators contain non-finite entries")
@@ -124,15 +124,16 @@ def _weyl_operators(d: int) -> np.ndarray:
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> QuantumChannel:
     """Rebuild a Kraus family from a normalized Choi state via eigendecomposition.
-    The state is outside data: it and the rebuilt family are checked within ``INPUT_TOL``."""
+    The state is outside data: its shape is checked, and it and the rebuilt family are held
+    to ``INPUT_TOL``."""
+    if np.shape(choi) != (d_in * d_out,) * 2:
+        raise ValueError(f"Choi matrix of shape {np.shape(choi)} does not match {d_in=}, {d_out=}")
     w, v = hermitian_eig(choi)
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam > KRAUS_CUTOFF:
-            ops.append(np.sqrt(d_in * lam) * col.reshape(d_in, d_out).T)
-    if not ops:
+    keep = w > KRAUS_CUTOFF
+    if not keep.any():
         raise ValueError("Choi matrix has no positive eigenvalues")
-    return QuantumChannel(np.stack(ops), atol=INPUT_TOL)
+    ops = v.T[keep].reshape(-1, d_in, d_out).swapaxes(1, 2)
+    return QuantumChannel(np.sqrt(d_in * w[keep])[:, None, None] * ops, atol=INPUT_TOL)
 
 
 def random_channel(d_in: int, d_out: int, kraus_count: int | None = None, seed=0) -> QuantumChannel:

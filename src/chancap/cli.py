@@ -116,7 +116,7 @@ def cmd_capacity(args) -> int:
     ch = capacity.holevo_quantity(
         chan, tol=args.tol, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
     )
-    ce_bits, ch_bits = ce.value_nats / capacity.LN2, ch.value_nats / capacity.LN2
+    ce_bits, ch_bits = ce.lower_nats / capacity.LN2, ch.upper_nats / capacity.LN2
     ratio = capacity.capacity_ratio(ce_bits, ch_bits)
     record = {
         "ce_bits": ce_bits,

@@ -77,11 +77,13 @@ def partial_trace(m: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray
 def hermitian_eig(m: np.ndarray) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix from outside, eigenvalues ascending.
 
-    The input is symmetrized as (m + m^dagger)/2 before decomposition;
-    deviations from Hermiticity beyond ``INPUT_TOL``, and non-finite entries,
-    raise ValueError.
+    The input is symmetrized as (m + m^dagger)/2 before decomposition; a
+    non-square shape, deviations from Hermiticity beyond ``INPUT_TOL``, and
+    non-finite entries raise ValueError.
     """
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if not dev <= INPUT_TOL:  # a nan deviation fails too
         if not np.isfinite(dev):
@@ -115,20 +117,14 @@ def schmidt_decompose(v: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposit
     # fix global phases: largest-magnitude component of each e_k real positive
     for k in range(d1):
         j = int(np.argmax(np.abs(u[:, k])))
-        a = u[j, k]
-        if abs(a) > 0:
-            phase = a / abs(a)
-            u[:, k] /= phase
-            if k < d2:
-                right[:, k] *= phase
+        phase = u[j, k] / abs(u[j, k])
+        u[:, k] /= phase
+        if k < d2:
+            right[:, k] *= phase
     for k in range(d1, d2):
         j = int(np.argmax(np.abs(right[:, k])))
-        a = right[j, k]
-        if abs(a) > 0:
-            right[:, k] /= a / abs(a)
-    coeffs = np.zeros(min(d1, d2))
-    coeffs[: s.shape[0]] = s
-    return SchmidtDecomposition(coeffs, u, right)
+        right[:, k] /= right[j, k] / abs(right[j, k])
+    return SchmidtDecomposition(s, u, right)  # the SVD gives min(d1, d2) values
 
 
 def random_pure_state(dim: int, seed) -> np.ndarray:

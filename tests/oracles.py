@@ -13,7 +13,8 @@ and the Werner-Holevo channel. The superposition family is built vector by
 vector as the reference for the certifier's stacked family, and the
 replacement channel is a constant map built from its output's eigenvectors.
 The Choi state is the channel's extended action on a maximally entangled
-input.
+input. The capacity-ratio prefactor f(d) in closed form is the reference for
+the library's total weight over sandwich factor.
 """
 
 import math
@@ -70,6 +71,16 @@ def depolarizing_ch_nats(d: int, p: float) -> float:
     reference I/d: ln d minus that spectrum's entropy (King, 2003).
     """
     return math.log(d) + _xlogx_total([1 - p + p / d] + [p / d] * (d - 1))
+
+
+def prefactor_closed_form(d_in: int) -> float:
+    """f(d) = (4d - 3)(2d - 5/2)^2 / ((2d - 3/2) ln(2d - 3/2) - 2d + 5/2), the family's total
+    weight 4d - 3 over the lower sandwich factor g(k) = (k ln k - k + 1)/(k - 1)^2 at
+    k = 2d - 3/2, multiplied out."""
+    d = float(d_in)
+    num = (4.0 * d - 3.0) * (2.0 * d - 2.5) ** 2
+    den = (2.0 * d - 1.5) * math.log(2.0 * d - 1.5) - 2.0 * d + 2.5
+    return num / den
 
 
 def superposition_state(basis: np.ndarray, k: int, l: int, a: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from chancap import (
     depolarizing_capacity_sweep,
     dominance_constant,
     entanglement_assisted_capacity,
-    family_total_weight,
     holevo_quantity,
     log_derivative_form,
     lower_bound_factor,
@@ -34,6 +33,7 @@ from oracles import (
     depolarizing_ch_nats,
     donald_residual,
     log_derivative_form_via_quadrature,
+    prefactor_closed_form,
     relative_entropy_via_integral,
 )
 
@@ -212,10 +212,9 @@ def test_criterion_5_holevo_iterations(monkeypatch):
 def test_criterion_6_prefactor_identities():
     worst_rel = 0.0
     for d in range(2, 65):
-        direct = capacity_ratio_prefactor(d)
-        via_factor = family_total_weight(d) / lower_bound_factor(family_total_weight(d) / 2.0)
-        worst_rel = max(worst_rel, abs(direct - via_factor) / max(1.0, abs(direct)))
-    assert worst_rel <= 1e-12
+        closed = prefactor_closed_form(d)
+        worst_rel = max(worst_rel, abs(capacity_ratio_prefactor(d) - closed) / closed)
+    assert worst_rel <= 1e-15
     assert abs(capacity_ratio_prefactor(2) - 14.2274) <= 1e-3
     d = 10**4
     asymptotic = capacity_ratio_prefactor(d) * math.log(d) / (8.0 * d * d)

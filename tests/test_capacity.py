@@ -70,22 +70,22 @@ class TestAssistedCapacity:
     def test_noiseless_qubit(self):
         est = entanglement_assisted_capacity(identity_channel(2))
         assert est.converged
-        assert abs(est.value_nats / LN2 - 2.0) < 1e-4
+        assert abs(est.lower_nats / LN2 - 2.0) < 1e-4
 
     def test_fully_depolarizing(self):
         est = entanglement_assisted_capacity(depolarizing_channel(2, 1.0))
-        assert abs(est.value_nats / LN2) < 1e-6
+        assert abs(est.lower_nats / LN2) < 1e-6
 
     def test_depolarizing_grid_matches_closed_form(self):
         for p in np.linspace(0.0, 4.0 / 3.0, 9):
             est = entanglement_assisted_capacity(depolarizing_channel(2, float(p)))
-            assert abs(est.value_nats / LN2 - depolarizing_ce_nats(2, float(p)) / LN2) < 1e-4
+            assert abs(est.lower_nats / LN2 - depolarizing_ce_nats(2, float(p)) / LN2) < 1e-4
 
     def test_estimate_invariants(self):
         est = entanglement_assisted_capacity(random_channel(2, 3, seed=1))
         assert est.converged and est.gap_bound <= 1e-7
-        assert (est.lower_nats, est.upper_nats) == (est.value_nats, est.value_nats + est.gap_bound)
-        assert -1e-6 <= est.value_nats / LN2 <= 2 * math.log2(2) + 1e-6
+        assert est.upper_nats == est.lower_nats + est.gap_bound
+        assert -1e-6 <= est.lower_nats / LN2 <= 2 * math.log2(2) + 1e-6
         np.testing.assert_allclose(np.trace(est.argmax_state), 1.0, atol=1e-10)
 
     def test_stalls_at_the_step_floor(self):
@@ -100,7 +100,7 @@ class TestAssistedCapacity:
         assert not est.converged and est.iterations < 3000
         assert est.gap_bound <= 1e-8
         reference = entanglement_assisted_capacity(chan)
-        assert abs(est.value_nats - reference.value_nats) <= capacity_module.DEFAULT_TOL
+        assert abs(est.lower_nats - reference.lower_nats) <= capacity_module.DEFAULT_TOL
 
     def test_stop_reasons(self):
         chan = random_channel(2, 3, seed=0)
@@ -115,7 +115,7 @@ class TestAssistedCapacity:
         # solve reports it as the full solve does, one gap check earlier
         last = entanglement_assisted_capacity(chan, max_iter=full.iterations - 1)
         assert last.converged and last.stop_reason == "gap"
-        assert (last.value_nats, last.gap_bound) == (full.value_nats, full.gap_bound)
+        assert (last.lower_nats, last.gap_bound) == (full.lower_nats, full.gap_bound)
         # the Holevo solver stops only on its gap or out of iterations
         assert holevo_quantity(identity_channel(2)).stop_reason == "gap"
         short = holevo_quantity(random_channel(3, 3, seed=1), max_iter=1)
@@ -164,12 +164,12 @@ class TestAssistedCertificate:
             est = entanglement_assisted_capacity(chan)
             rho = est.argmax_state
             assert est.converged
-            assert abs(est.value_nats - _mutual_information_nats(chan, rho)) <= 1e-12
+            assert abs(est.lower_nats - _mutual_information_nats(chan, rho)) <= 1e-12
             grad = mutual_information_gradient(chan, rho)
             gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
             assert abs(est.gap_bound - gap) <= 1e-14
         assert np.linalg.eigvalsh(rho)[0] < 1e-12  # the last channel ends rank-deficient
-        assert abs(est.value_nats / LN2 - 2.0) < 1e-6
+        assert abs(est.lower_nats / LN2 - 2.0) < 1e-6
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(
@@ -187,7 +187,7 @@ class TestAssistedCertificate:
         est = entanglement_assisted_capacity(chan, tol=tol)
         for k in range(4):
             rho = random_density_matrix(din, min(rank, din), (seed, k))
-            assert _mutual_information_nats(chan, rho) <= est.value_nats + est.gap_bound + 1e-12
+            assert _mutual_information_nats(chan, rho) <= est.lower_nats + est.gap_bound + 1e-12
         g = seeded_rng(seed, 1)
         u_in, u_out = (
             np.linalg.qr(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))[0]
@@ -195,7 +195,7 @@ class TestAssistedCertificate:
         )
         rotated = QuantumChannel(np.einsum("ab,mbc,dc->mad", u_out, chan.kraus, u_in.conj()))
         rotated_est = entanglement_assisted_capacity(rotated, tol=tol)
-        assert abs(rotated_est.value_nats - est.value_nats) <= 2 * tol
+        assert abs(rotated_est.lower_nats - est.lower_nats) <= 2 * tol
 
 
 class TestNewtonDirection:
@@ -245,7 +245,7 @@ class TestNewtonDirection:
             est = entanglement_assisted_capacity(chan)
             assert est.converged and est.stop_reason == "gap" and est.iterations == 1
             assert est.gap_bound == 0.0
-            assert abs(est.value_nats - _mutual_information_nats(chan, np.eye(1))) <= 1e-15
+            assert abs(est.lower_nats - _mutual_information_nats(chan, np.eye(1))) <= 1e-15
 
 
 class TestGradient:
@@ -282,16 +282,16 @@ class TestHolevoQuantity:
     def test_noiseless_qubit(self):
         est = holevo_quantity(identity_channel(2))
         assert est.converged
-        assert abs(est.value_nats / LN2 - 1.0) < 1e-4
+        assert abs(est.upper_nats / LN2 - 1.0) < 1e-4
 
     def test_fully_depolarizing(self):
         est = holevo_quantity(depolarizing_channel(2, 1.0))
-        assert abs(est.value_nats / LN2) < 1e-6
+        assert abs(est.upper_nats / LN2) < 1e-6
 
     def test_depolarizing_grid_matches_closed_form(self):
         for p in np.linspace(0.0, 4.0 / 3.0, 9):
             est = holevo_quantity(depolarizing_channel(2, float(p)))
-            assert abs(est.value_nats / LN2 - depolarizing_ch_nats(2, float(p)) / LN2) < 1e-3
+            assert abs(est.upper_nats / LN2 - depolarizing_ch_nats(2, float(p)) / LN2) < 1e-3
 
     def test_witnesses_reported(self):
         est = holevo_quantity(random_channel(2, 2, seed=8), seed=9)
@@ -304,9 +304,9 @@ class TestHolevoQuantity:
             din, dout = [(2, 3), (3, 2), (3, 3)][trial % 3]
             chan = random_channel(din, dout, seed=(40, trial))
             ch = holevo_quantity(chan, seed=(41, trial))
-            assert -1e-6 <= ch.value_nats / LN2 <= math.log2(min(din, dout)) + 1e-6
+            assert -1e-6 <= ch.upper_nats / LN2 <= math.log2(min(din, dout)) + 1e-6
             ce = entanglement_assisted_capacity(chan)
-            assert -1e-6 <= ce.value_nats / LN2 <= 2 * math.log2(min(din, dout)) + 1e-6
+            assert -1e-6 <= ce.lower_nats / LN2 <= 2 * math.log2(min(din, dout)) + 1e-6
 
     def test_covariant_channels_stop_at_the_basis_ensemble(self):
         # the first reference T(I/d) of a depolarizing channel is optimal and
@@ -323,8 +323,8 @@ class TestHolevoQuantity:
             assert est.converged and est.stop_reason == "gap" and est.iterations == 1
             assert np.array_equal(est.witnesses, np.eye(d))
             assert np.array_equal(est.weights, np.full(d, 1.0 / d))
-            assert est.value_nats == value
-            assert abs(est.value_nats - depolarizing_ch_nats(d, 0.5)) <= 1e-15
+            assert est.upper_nats == value
+            assert abs(est.upper_nats - depolarizing_ch_nats(d, 0.5)) <= 1e-15
 
     def test_exact_families_close_at_the_first_reference(self):
         # on these unitarily covariant channels the basis ensemble certifies
@@ -406,11 +406,11 @@ class TestHolevoQuantity:
             avg = sum(p * out for p, out in zip(est.weights, outs))
             chi = sum(p * relative_entropy(out, avg).value for p, out in zip(est.weights, outs) if p)
             assert abs(est.weights.sum() - 1.0) <= 1e-12 and est.weights.min() >= 0.0
-            assert abs(chi - (est.value_nats - est.gap_bound)) <= 1e-12, (dims, trial, max_iter)
+            assert abs(chi - (est.upper_nats - est.gap_bound)) <= 1e-12, (dims, trial, max_iter)
             assert abs(est.lower_nats - chi) <= 1e-12
             alphabet = _alphabet(chan, np.array(est.witnesses))
             assert est.lower_nats == _ensemble_point(alphabet, est.weights).chi
-            assert est.lower_nats <= est.upper_nats == est.value_nats
+            assert est.lower_nats <= est.upper_nats
 
     def test_sweeps_at_a_wrong_weight_solve_do_not_cycle(self):
         # with 3 or 4 Barzilai-Borwein-started position sweeps, the first
@@ -540,7 +540,7 @@ class TestInnerSolvers:
         # vanish and every ascent row has a zero tangent from the start
         chan = random_channel(1, 3, seed=90)
         for est in (holevo_quantity(chan), entanglement_assisted_capacity(chan)):
-            assert est.converged and abs(est.value_nats) < 1e-12
+            assert est.converged and abs(est.lower_nats) < 1e-12 and abs(est.upper_nats) < 1e-12
         batches = []
         fused = capacity_module._divergences_and_grads
 
@@ -684,6 +684,14 @@ class TestInnerSolvers:
                 max_output_divergence(chan, np.eye(2) / 2, restarts=restarts)
             with pytest.raises(ValueError, match="restarts"):
                 holevo_quantity(chan, restarts=restarts)
+
+    def test_tol_must_be_finite_and_positive(self):
+        # max_iter=2 keeps a solve that ignores the check short
+        chan = random_channel(2, 2, seed=1)
+        for solve in (entanglement_assisted_capacity, holevo_quantity):
+            for tol in (0.0, -1e-7, math.inf, math.nan):
+                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                    solve(chan, tol=tol, max_iter=2)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -924,7 +932,7 @@ class TestSolverProperties:
             chan = random_channel(din, dout, seed=(10, trial))
             ce = entanglement_assisted_capacity(chan)
             ch = holevo_quantity(chan, seed=(11, trial))
-            assert ce.value_nats >= ch.value_nats - 1e-6
+            assert ce.lower_nats >= ch.upper_nats - 1e-6
 
     def test_basis_change_invariance(self):
         chan = random_channel(2, 2, seed=12)
@@ -935,19 +943,19 @@ class TestSolverProperties:
         tol = 1e-7
         ce1 = entanglement_assisted_capacity(chan, tol=tol)
         ce2 = entanglement_assisted_capacity(rotated, tol=tol)
-        assert abs(ce1.value_nats - ce2.value_nats) <= 2 * tol
+        assert abs(ce1.lower_nats - ce2.lower_nats) <= 2 * tol
         ch1 = holevo_quantity(chan, tol=tol, seed=14)
         ch2 = holevo_quantity(rotated, tol=tol, seed=14)
-        assert abs(ch1.value_nats - ch2.value_nats) <= 2 * tol
+        assert abs(ch1.upper_nats - ch2.upper_nats) <= 2 * tol
 
     def test_deterministic(self):
         chan = random_channel(3, 2, seed=15)
         a = holevo_quantity(chan, seed=16)
         b = holevo_quantity(chan, seed=16)
-        assert a.value_nats == b.value_nats and a.gap_bound == b.gap_bound
+        assert a.upper_nats == b.upper_nats and a.gap_bound == b.gap_bound
         c = entanglement_assisted_capacity(chan)
         d = entanglement_assisted_capacity(chan)
-        assert c.value_nats == d.value_nats
+        assert c.lower_nats == d.lower_nats
 
 
 class TestSweep:

@@ -12,7 +12,6 @@ from chancap import (
     family_total_weight,
     holevo_quantity,
     identity_channel,
-    lower_bound_factor,
     mutual_information,
     output_barycenter,
     random_channel,
@@ -29,6 +28,7 @@ from chancap.channels import pure_outputs
 from chancap.linalg import check_density_matrix, partial_trace
 from oracles import (
     chain_by_loop,
+    prefactor_closed_form,
     replacement_channel,
     superposition_family,
     superposition_state,
@@ -270,9 +270,8 @@ class TestPrefactor:
 
     def test_matches_weight_over_factor_form(self):
         for d in range(2, 65):
-            direct = capacity_ratio_prefactor(d)
-            via_factor = family_total_weight(d) / lower_bound_factor(family_total_weight(d) / 2.0)
-            assert abs(direct - via_factor) <= 1e-12 * max(1.0, abs(direct))
+            closed = prefactor_closed_form(d)
+            assert abs(capacity_ratio_prefactor(d) - closed) <= 1e-15 * closed
 
     def test_asymptotic_scale(self):
         d = 10**4
@@ -303,7 +302,7 @@ class TestVerifyRatioBound:
         ch = holevo_quantity(chan, seed=(7002, 48))
         sound = (check.prefactor * ch.lower_nats - ce.upper_nats) / math.log(2.0)
         assert check.slack_bits == sound
-        ce_bits, ch_bits = ce.value_nats / LN2, ch.value_nats / LN2
+        ce_bits, ch_bits = ce.lower_nats / LN2, ch.upper_nats / LN2
         assert (check.ce_bits, check.ch_bits) == (ce_bits, ch_bits)
         assert 0.0 < check.slack_bits <= check.prefactor * ch_bits - ce_bits
 

@@ -64,6 +64,11 @@ class TestApply:
         with pytest.raises(ValueError):
             identity_channel(2).apply(np.eye(3) / 3)
 
+    def test_zero_dimension_is_rejected(self):
+        for shape in ((1, 2, 0), (1, 0, 2), (0, 2, 2)):
+            with pytest.raises(ValueError, match="nonempty stack"):
+                QuantumChannel(np.zeros(shape))
+
     def test_stacks_match_per_matrix_calls(self):
         # both actions take a stack (..., d_in, d_in) and act on each matrix as
         # a single call would, to the last bit; both name a wrong trailing
@@ -297,6 +302,12 @@ class TestChoi:
             kraus_from_choi(choi + 5e-9 * step, 2, 2)
             with pytest.raises(ValueError, match=message):
                 kraus_from_choi(choi + 5e-8 * step, 2, 2)
+
+    def test_kraus_from_choi_names_a_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"Choi matrix of shape \(4, 4\) does not match"):
+            kraus_from_choi(np.eye(4) / 4, 3, 3)
+        with pytest.raises(ValueError, match=r"Choi matrix of shape \(6,\)"):
+            kraus_from_choi(np.ones(6) / 6, 2, 3)
 
     def test_choi_invariants(self):
         chan = random_channel(3, 2, seed=25)

@@ -134,6 +134,14 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(np.array([[1.0, 5e-8], [0.0, 1.0]]))
 
+    def test_non_square_shape_is_named(self):
+        # numpy's broadcasting and LinAlgError messages used to surface here
+        for m in (np.ones(3), np.ones((2, 3)) / 6, np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"matrix must be square, got shape"):
+                hermitian_eig(m)
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+            relative_entropy(np.ones((2, 3)) / 6, np.ones((2, 3)) / 6)
+
 
 class TestSchmidt:
     def test_product_vector(self):

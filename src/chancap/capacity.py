@@ -33,6 +33,7 @@ from .linalg import (
     Eigensystem,
     clamped_eigh,
     eigensystem_log,
+    hermitian_eig,
     log_divided_differences,
     log_matrix,
     seeded_rng,
@@ -45,14 +46,13 @@ DEFAULT_TOL = 1e-7  # nats; the gap at which both solvers stop, and the chain's 
 DEFAULT_MAX_ITER = 5000
 DEFAULT_RESTARTS = 32
 SUP_RESTARTS = 8  # random sphere-ascent starts of the standalone supremum and of the sweep
-SWEEP_TOL = 1e-10  # the depolarizing sweep solves at least this tightly
+SWEEP_TOL = 1e-10  # nats; the depolarizing sweep solves at this tolerance
 RATIO_CUTOFF_BITS = 1e-9  # C_E / C_H is undefined where C_H is at or below this (0/0 region)
 ANCHOR_MIX = 1e-12  # weight of T(I/d) in the inner ascent's reference (holevo_quantity)
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
 ARMIJO = 1e-4  # sufficient-increase constant of every line search
 STEP_FLOOR = 1e-8  # smallest step of every line search; below it the search gives up
 MIN_BB_STEP = 1e-3  # Barzilai-Borwein steps (sphere ascent, witness sweeps) are raised to this
-MAX_MOVE = 1e3  # bound on an ascent move, step * |tangent|: flat objectives step long
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
 GRAD_TOL_RANGE = (1e-8, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
@@ -324,15 +324,14 @@ def _sphere_ascent(
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
     step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
     raised to MIN_BB_STEP; where Re<s,y> <= 0 it starts from its doubled last
-    accepted step (1 for the first search). Either start is cut so that the
-    move, step * |tangent|, is at most MAX_MOVE, which does not depend on the
-    objective's scale: on a flat one (curvature ~1e-6 at a depolarizing weight
-    p = 0.999) a row takes the long step Barzilai-Borwein asks for. A round
-    evaluates the trial points of all working rows in one kernel call. If every
-    row passes Armijo, the trial arrays become the rows' state whole; otherwise,
-    under one mask, each accepted row moves and each rejected row halves its
-    step. A row retires once its tangent is at most ``grad_tol``, its step is halved
-    below STEP_FLOOR, or it has run MAX_SEARCHES searches. A row whose accepted
+    accepted step (1 for the first search). Neither start is cut: the
+    projection back to the sphere bounds every move, and Armijo halving
+    rejects a step that overshoots. A round evaluates the trial points of all
+    working rows in one kernel call. If every row passes Armijo, the trial
+    arrays become the rows' state whole; otherwise, under one mask, each
+    accepted row moves and each rejected row halves its step. A row retires
+    once its tangent is at most ``grad_tol``, its step is halved below
+    STEP_FLOOR, or it has run MAX_SEARCHES searches. A row whose accepted
     point has squared overlap at least MERGE_OVERLAP with a row of higher value
     (on a tie, of lower index) merges into it: it stops, and ends with that
     row's final value and state. No row ends below its start. Returns the
@@ -346,7 +345,7 @@ def _sphere_ascent(
     partner, rows = np.arange(n), np.arange(n)  # the row each merged into; the working rows
     tangent = grads - vals[:, None] * psi  # vals is Re<psi, g>: the tangent part of g
     norms = np.linalg.norm(tangent, axis=1)
-    alpha = MAX_MOVE / np.maximum(norms, MAX_MOVE)  # the first step is 1, capped by MAX_MOVE
+    alpha = np.ones(n)
     searches = np.ones(n, dtype=int)
     keep = norms > grad_tol
     while working := np.count_nonzero(keep):
@@ -364,9 +363,7 @@ def _sphere_ascent(
         sy = _re_inner(cand - psi, y)
         use_bb = sy > 0.0
         bb = np.maximum(sy / np.where(use_bb, _re_inner(y, y), 1.0), MIN_BB_STEP)
-        start = np.where(use_bb, bb, 2.0 * alpha)
-        # min(start, MAX_MOVE / |tangent|) for an accepted row, without dividing by a zero tangent
-        next_alpha = MAX_MOVE / np.maximum(cand_norms, MAX_MOVE / start)
+        next_alpha = np.where(use_bb, bb, 2.0 * alpha)
         accepted = np.count_nonzero(ok)
         if accepted == ok.size:  # every row moves: no masking
             alpha, psi, vals = next_alpha, cand, cand_vals
@@ -415,10 +412,15 @@ def max_output_divergence(
     the restarts. Returns (best value in nats, best input vector); ties are
     broken by the lowest start index. A restart that merged into a higher one
     ties with it and returns its state, so a tie does not change the vector.
-    ``restarts`` must be at least 1.
+    ``restarts`` must be at least 1, and ``sigma`` a finite Hermitian
+    d_out x d_out matrix (within INPUT_TOL).
     """
+    sigma = np.asarray(sigma, dtype=complex)
+    shape = (channel.d_out, channel.d_out)
+    if sigma.shape != shape:
+        raise ValueError(f"reference shape {sigma.shape} does not match outputs {shape}")
     starts = _random_starts(seeded_rng(seed), restarts, channel.d_in)
-    ln_sigma = log_matrix(np.asarray(sigma, dtype=complex))
+    ln_sigma = eigensystem_log(hermitian_eig(sigma))
     vals, psi, _ = _sphere_ascent(channel, ln_sigma, starts)
     best = int(np.argmax(vals))
     return float(vals[best]), psi[best]
@@ -540,8 +542,7 @@ def _fit_ensemble(
     sweep's search starts from step 1, each later one from the
     Barzilai-Borwein step Re<s,y>/<y,y> over the whole witness stack (s the
     last accepted move, y the drop in tangent), raised to MIN_BB_STEP, or
-    from 1 where Re<s,y> <= 0; either start is cut so that the move,
-    step * |tangent|, is at most MAX_MOVE. If any sweep moved the witnesses,
+    from 1 where Re<s,y> <= 0. If any sweep moved the witnesses,
     the weights are solved once more, and that solve's point is kept unless
     its chi is below the sweeps'. Returns (witnesses, their alphabet, the
     ensemble point), and the point's chi is the one reported: it equals
@@ -562,7 +563,6 @@ def _fit_ensemble(
             sy = np.vdot(s, y).real
             if sy > 0.0:
                 step = max(sy / np.vdot(y, y).real, MIN_BB_STEP)
-        step = min(step, MAX_MOVE / np.linalg.norm(tangent))
         last = witnesses, tangent
         while step >= STEP_FLOOR:
             cand = witnesses + step * tangent
@@ -696,29 +696,22 @@ def depolarizing_grid(d: int = 2, points: int = 81) -> list[float]:
     return sorted(set(float(p) for p in np.linspace(0.0, p_max, points)) | {0.999})
 
 
-def depolarizing_capacity_sweep(
-    d: int = 2,
-    p_grid=None,
-    tol: float = SWEEP_TOL,
-    restarts: int = SUP_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed=0,
-) -> list[SweepPoint]:
+def depolarizing_capacity_sweep(d: int = 2, p_grid=None) -> list[SweepPoint]:
     """Both capacities of the depolarizing family over a grid of mixing weights.
 
     The default grid is 81 uniform points on the completely positive range
-    plus the near-total-noise probe 0.999. Both solvers run at the tighter of
-    ``tol`` and ``SWEEP_TOL``. The ratio is ``capacity_ratio`` of C_E's lower end and
-    C_H's upper end, the row's ``ce_bits`` and ``ch_bits``.
+    plus the near-total-noise probe 0.999. Both solvers run at SWEEP_TOL and
+    DEFAULT_MAX_ITER, and C_H from SUP_RESTARTS starts at seed 0. The ratio
+    is ``capacity_ratio`` of C_E's lower end and C_H's upper end, the row's
+    ``ce_bits`` and ``ch_bits``.
     """
-    tol = min(tol, SWEEP_TOL)
     if p_grid is None:
         p_grid = depolarizing_grid(d)
     rows = []
     for p in p_grid:
         chan = depolarizing_channel(d, float(p))
-        ce = entanglement_assisted_capacity(chan, tol=tol, max_iter=max_iter)
-        ch = holevo_quantity(chan, tol=tol, restarts=restarts, max_iter=max_iter, seed=seed)
+        ce = entanglement_assisted_capacity(chan, tol=SWEEP_TOL)
+        ch = holevo_quantity(chan, tol=SWEEP_TOL, restarts=SUP_RESTARTS)
         ce_bits, ch_bits = ce.lower_nats / LN2, ch.upper_nats / LN2
         rows.append(SweepPoint(float(p), ce_bits, ch_bits, capacity_ratio(ce_bits, ch_bits)))
     return rows

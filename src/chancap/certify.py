@@ -25,6 +25,7 @@ from .capacity import (
     DEFAULT_TOL,
     LN2,
     SUP_RESTARTS,
+    _check_tol,
     entanglement_assisted_capacity,
     holevo_quantity,
     max_output_divergence,
@@ -191,12 +192,15 @@ def chain_report(
     ``state`` is a vector on the doubled input space (or a rank-one density
     matrix). ``tau`` is the reference for the final capacity bound and
     defaults to the constructed barycenter. The supremum in the last link is
-    estimated by multi-start ascent and maximized with the directly evaluated
-    family terms, which keeps the final inequality sound even if the ascent
-    under-finds. Each reference (the joint reference, the barycenter and
-    ``tau``) is diagonalized once; the output entropies come from one
-    batched spectrum.
+    estimated by multi-start ascent (``max_output_divergence``, which also
+    checks ``tau``) and maximized with the directly evaluated family terms,
+    which keeps the final inequality sound even if the ascent under-finds.
+    Each reference (the joint reference, the barycenter and ``tau``) is
+    diagonalized once here, and once more for the ascent; the output
+    entropies come from one batched spectrum. ``tol``, the slack of each
+    link's order, must be finite and positive.
     """
+    _check_tol(tol)
     d = channel.d_in
     if d < 2:
         raise ValueError("the bound chain is defined for input dimension >= 2")
@@ -233,16 +237,9 @@ def chain_report(
     at_sigma = _relative_entropies(outs, xlogx, sigma_eig)
     entropy_bound = float(entropy_w @ at_sigma) / g
 
-    if tau is None:
-        tau, at_tau = sigma, at_sigma
-    else:
-        tau = np.asarray(tau, dtype=complex)
-        if tau.shape != sigma.shape:
-            raise ValueError(f"reference shape {tau.shape} does not match outputs {sigma.shape}")
-        at_tau = _relative_entropies(outs, xlogx, hermitian_eig(tau))
-    sup_value, _ = max_output_divergence(
-        channel, tau, restarts=sup_restarts, seed=sup_seed
-    )
+    tau = sigma if tau is None else tau
+    sup_value, _ = max_output_divergence(channel, tau, restarts=sup_restarts, seed=sup_seed)
+    at_tau = at_sigma if tau is sigma else _relative_entropies(outs, xlogx, hermitian_eig(tau))
     capacity_bound = prefactor * max(sup_value, float(np.max(at_tau)))
 
     chain = (mutual, anchored, quadratic, decomposed, entropy_bound, capacity_bound)

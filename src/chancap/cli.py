@@ -230,10 +230,7 @@ def cmd_chain(args) -> int:
 
 
 def _sweep_point(args, p: float):
-    rows = capacity.depolarizing_capacity_sweep(
-        2, [p], tol=args.tol, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
-    )
-    return rows[0]
+    return capacity.depolarizing_capacity_sweep(2, [p])[0]
 
 
 def cmd_sweep(args) -> int:
@@ -346,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials": dict(type=_int_from(1), default=100),
         "--din": dict(type=_int_from(1), default=2),
         "--dout": dict(type=_int_from(1), default=2),
+        "--seed": dict(type=_int_from(0), default=0, help="master seed"),
     }
     solver = ("--tol", "--max-iter", "--restarts")
 
-    def common(p, *names, channel=False):  # every command takes --seed, --jobs and --out
-        p.add_argument("--seed", type=_int_from(0), default=0, help="master seed")
+    def common(p, *names, channel=False):  # every command takes --jobs and --out
         for name in names:
             p.add_argument(name, **flags[name])
         p.add_argument(
@@ -369,25 +366,25 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_cap = sub.add_parser("capacity", help="compute both capacities of a channel")
-    common(p_cap, *solver, channel=True)
+    common(p_cap, "--seed", *solver, channel=True)
     p_cap.add_argument("--format", choices=["csv", "json"], default="csv")
     p_cap.set_defaults(func=cmd_capacity)
 
     p_ratio = sub.add_parser(
         "verify-ratio", help="fuzz the dimension-dependent capacity-ratio bound"
     )
-    common(p_ratio, *solver, "--trials", "--din", "--dout")
+    common(p_ratio, "--seed", *solver, "--trials", "--din", "--dout")
     p_ratio.set_defaults(func=cmd_verify_ratio)
 
     p_sand = sub.add_parser(
         "verify-sandwich",
         help="fuzz the two-sided quadratic-form bounds on the relative entropy",
     )
-    common(p_sand, "--trials", "--din")
+    common(p_sand, "--seed", "--trials", "--din")
     p_sand.set_defaults(func=cmd_verify_sandwich)
 
     p_chain = sub.add_parser("chain", help="replay the upper-bound chain on one instance")
-    common(p_chain, "--tol", "--restarts", channel=True)
+    common(p_chain, "--seed", "--tol", "--restarts", channel=True)
     p_chain.add_argument(
         "--state",
         default="max-entangled",
@@ -398,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="capacities of the qubit depolarizing family over a p grid"
     )
-    common(p_sweep, *solver)
+    common(p_sweep)
     p_sweep.add_argument("--points", type=_int_from(2), default=81)
     p_sweep.add_argument("--svg", default=None, help="also write an SVG plot here")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -677,6 +677,20 @@ class TestInnerSolvers:
             _sphere_ascent(chan, ln_sigma, starts, grad_tol=GRAD_TOL_RANGE[0])
         assert len(calls) <= 800
 
+    def test_max_output_divergence_checks_its_reference(self):
+        # a reference of the wrong shape, a non-Hermitian one and one with a
+        # nan entry are rejected before their logarithm is taken
+        chan = random_channel(2, 2, seed=7)
+        nan_entry = np.eye(2) / 2
+        nan_entry[0, 0] = math.nan
+        for sigma, message in (
+            (np.eye(3) / 3, r"reference shape \(3, 3\) does not match outputs \(2, 2\)"),
+            (np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+            (nan_entry, "non-finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                max_output_divergence(chan, sigma)
+
     def test_restarts_below_one_raise(self):
         chan = random_channel(2, 2, seed=1)
         for restarts in (0, -1):
@@ -978,19 +992,21 @@ class TestSweep:
             assert b.ch_bits <= a.ch_bits + 1e-9
 
     def test_solves_at_most_at_sweep_tol(self, monkeypatch):
-        tols = []
+        calls = {}
         for name in ("entanglement_assisted_capacity", "holevo_quantity"):
 
             def recorded(*args, solver=getattr(capacity_module, name), **kwargs):
-                tols.append(kwargs["tol"])
+                calls[solver.__name__] = kwargs
                 return solver(*args, **kwargs)
 
             monkeypatch.setattr(capacity_module, name, recorded)
-        depolarizing_capacity_sweep(p_grid=[0.5], tol=1e-7)
-        assert len(tols) == 2 and max(tols) <= SWEEP_TOL
+        depolarizing_capacity_sweep(p_grid=[0.5])
+        assert calls["entanglement_assisted_capacity"]["tol"] == SWEEP_TOL
+        assert calls["holevo_quantity"]["tol"] == SWEEP_TOL
+        assert calls["holevo_quantity"]["restarts"] == SUP_RESTARTS
 
     def test_default_grid_has_probe_point(self):
-        rows = depolarizing_capacity_sweep(p_grid=None, max_iter=5)  # grid shape only
+        rows = depolarizing_capacity_sweep(p_grid=None)
         ps = [r.p for r in rows]
         assert len(ps) == 82 and any(abs(p - 0.999) < 1e-12 for p in ps)
         assert ps == sorted(ps)

@@ -229,6 +229,13 @@ class TestChainReport:
         with pytest.raises(ValueError, match="not Hermitian"):
             chain_report(identity_channel(2), skewed)
 
+    def test_rejects_bad_tol(self):
+        # the links' slack is held to the solvers' rule for tol
+        chan = random_channel(2, 2, seed=7)
+        for tol in (math.nan, -1.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                chain_report(chan, bell_vector(), tol=tol)
+
     def test_head_is_mutual_information_of_right_marginal(self):
         for trial in range(6):
             d = 2 + trial % 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chancap import capacity, certify, channel_to_json, identity_channel
-from chancap.cli import build_parser, main
+from chancap.cli import _csv, build_parser, main
 from chancap.linalg import maximally_entangled_state
 
 
@@ -291,12 +291,25 @@ class TestSweepCommand:
         assert code == 0
         assert out.read_text().startswith("p,ce_bits,ch_bits,ratio")
 
+    def test_prints_the_library_sweep(self, capsys):
+        res = run_main(capsys, "sweep", "--points", "5", "--jobs", "1")
+        assert res.returncode == 0
+        rows = capacity.depolarizing_capacity_sweep(2, capacity.depolarizing_grid(2, 5))
+        assert res.stdout == _csv([capacity.SweepPoint._fields, *rows])
+
+    def test_solver_flags_are_usage_errors(self, capsys):
+        # the sweep solves at one fixed setting, so it takes no solver flag
+        for flag, value in (("--tol", "1e-7"), ("--max-iter", "5"), ("--restarts", "4"),
+                            ("--seed", "5")):
+            err = usage_error(capsys, "sweep", "--points", "3", flag, value)
+            assert f"unrecognized arguments: {flag}" in err
+
 
 class TestConfigValidation:
     def test_defaults_come_from_capacity(self):
         parser = build_parser()
         assert build_parser() is parser  # built once per process
-        for command in ("capacity", "verify-ratio", "chain", "sweep"):
+        for command in ("capacity", "verify-ratio", "chain"):
             args = parser.parse_args([command])
             assert args.tol == capacity.DEFAULT_TOL
             assert args.restarts == capacity.DEFAULT_RESTARTS
@@ -304,6 +317,8 @@ class TestConfigValidation:
                 assert args.max_iter == capacity.DEFAULT_MAX_ITER
         # a command takes only the flags it reads
         assert not hasattr(parser.parse_args(["chain"]), "max_iter")
+        sweep = vars(parser.parse_args(["sweep"]))
+        assert not {"tol", "max_iter", "restarts", "seed"} & set(sweep)
         sandwich = vars(parser.parse_args(["verify-sandwich"]))
         assert not {"tol", "max_iter", "restarts", "dout"} & set(sandwich)
         ratio = inspect.signature(certify.verify_ratio_bound).parameters

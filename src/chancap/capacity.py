@@ -48,11 +48,9 @@ DEFAULT_RESTARTS = 32
 SUP_RESTARTS = 8  # random sphere-ascent starts of the standalone supremum and of the sweep
 SWEEP_TOL = 1e-10  # nats; the depolarizing sweep solves at this tolerance
 RATIO_CUTOFF_BITS = 1e-9  # C_E / C_H is undefined where C_H is at or below this (0/0 region)
-ANCHOR_MIX = 1e-12  # weight of T(I/d) in the inner ascent's reference (holevo_quantity)
 WEIGHT_FLOOR = 1e-14  # ensemble weights at or below this are out of the support
 ARMIJO = 1e-4  # sufficient-increase constant of every line search
 STEP_FLOOR = 1e-8  # smallest step of every line search; below it the search gives up
-MIN_BB_STEP = 1e-3  # Barzilai-Borwein steps (sphere ascent, witness sweeps) are raised to this
 MAX_SEARCHES = 300  # line searches per sphere-ascent row
 GRAD_TOL_RANGE = (1e-8, 1e-6)  # clip of the sphere ascent's gradient tolerance sqrt(tol)/30
 NEWTON_STEPS = 20  # damped Newton steps per weight solve
@@ -322,21 +320,20 @@ def _sphere_ascent(
     """Batched projected gradient ascent of D(T(psi)||sigma) on the unit sphere.
 
     Each row starts its Armijo backtracking from the short Barzilai-Borwein
-    step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient),
-    raised to MIN_BB_STEP; where Re<s,y> <= 0 it starts from its doubled last
-    accepted step (1 for the first search). Neither start is cut: the
-    projection back to the sphere bounds every move, and Armijo halving
-    rejects a step that overshoots. A round evaluates the trial points of all
-    working rows in one kernel call. If every row passes Armijo, the trial
-    arrays become the rows' state whole; otherwise, under one mask, each
-    accepted row moves and each rejected row halves its step. A row retires
-    once its tangent is at most ``grad_tol``, its step is halved below
-    STEP_FLOOR, or it has run MAX_SEARCHES searches. A row whose accepted
-    point has squared overlap at least MERGE_OVERLAP with a row of higher value
-    (on a tie, of lower index) merges into it: it stops, and ends with that
-    row's final value and state. No row ends below its start. Returns the
-    final (values, states) of every row and the index of the row each ended in
-    (itself unless it merged).
+    step Re<s,y>/<y,y> (s the last move, y the drop in tangent gradient);
+    where Re<s,y> <= 0 it starts from its doubled last accepted step (1 for
+    the first search). Neither start is cut: the projection back to the sphere
+    bounds every move, and Armijo halving rejects a step that overshoots. A
+    round evaluates the trial points of all working rows in one kernel call.
+    If every row passes Armijo, the trial arrays become the rows' state whole;
+    otherwise, under one mask, each accepted row moves and each rejected row
+    halves its step. A row retires once its tangent is at most ``grad_tol``,
+    its step is halved below STEP_FLOOR, or it has run MAX_SEARCHES searches.
+    A row whose accepted point has squared overlap at least MERGE_OVERLAP with
+    a row of higher value (on a tie, of lower index) merges into it: it stops,
+    and ends with that row's final value and state. No row ends below its
+    start. Returns the final (values, states) of every row and the index of
+    the row each ended in (itself unless it merged).
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
@@ -362,8 +359,7 @@ def _sphere_ascent(
         y = tangent - cand_tangent
         sy = _re_inner(cand - psi, y)
         use_bb = sy > 0.0
-        bb = np.maximum(sy / np.where(use_bb, _re_inner(y, y), 1.0), MIN_BB_STEP)
-        next_alpha = np.where(use_bb, bb, 2.0 * alpha)
+        next_alpha = np.where(use_bb, sy / np.where(use_bb, _re_inner(y, y), 1.0), 2.0 * alpha)
         accepted = np.count_nonzero(ok)
         if accepted == ok.size:  # every row moves: no masking
             alpha, psi, vals = next_alpha, cand, cand_vals
@@ -541,12 +537,12 @@ def _fit_ensemble(
     accepted point's barycenter is the next sweep's reference. The first
     sweep's search starts from step 1, each later one from the
     Barzilai-Borwein step Re<s,y>/<y,y> over the whole witness stack (s the
-    last accepted move, y the drop in tangent), raised to MIN_BB_STEP, or
-    from 1 where Re<s,y> <= 0. If any sweep moved the witnesses,
-    the weights are solved once more, and that solve's point is kept unless
-    its chi is below the sweeps'. Returns (witnesses, their alphabet, the
-    ensemble point), and the point's chi is the one reported: it equals
-    ``_ensemble_point(alphabet, point.weights).chi`` exactly.
+    last accepted move, y the drop in tangent), or from 1 where Re<s,y> <= 0.
+    If any sweep moved the witnesses, the weights are solved once more, and
+    that solve's point is kept unless its chi is below the sweeps'. Returns
+    (witnesses, their alphabet, the ensemble point), and the point's chi is
+    the one reported: it equals ``_ensemble_point(alphabet, point.weights).chi``
+    exactly.
     """
     alphabet = start = _alphabet(channel, witnesses)
     point = _ensemble_weights(alphabet, ba_tol, init)
@@ -562,7 +558,7 @@ def _fit_ensemble(
             s, y = witnesses - last[0], last[1] - tangent
             sy = np.vdot(s, y).real
             if sy > 0.0:
-                step = max(sy / np.vdot(y, y).real, MIN_BB_STEP)
+                step = sy / np.vdot(y, y).real
         last = witnesses, tangent
         while step >= STEP_FLOOR:
             cand = witnesses + step * tangent
@@ -594,36 +590,32 @@ def holevo_quantity(
     Alternates the multi-start inner supremum at the current reference state
     with barycenter updates over a witness ensemble whose weights and
     positions are optimized for the certified mixture-divergence lower bound.
-    The reference is the ensemble's barycenter mixed with ANCHOR_MIX of
-    T(I/d). Without it, random_channel(2, 2, 2, seed=0) at tol 1e-10 (solver
-    seed 3) runs out 300 outer iterations at a gap of 3.7e-10, against 3
-    with it. The value is the lowest inner
-    supremum over the references, raised to the best lower bound if it is
-    below it; the gap is that value minus the best lower bound. The inner
-    problem is non-concave, so the supremum is heuristic and the gap is
-    reported honestly. Ascent rows that close in on a higher row merge into
-    it. An outer iteration runs the inner ascent and tests the gap; if it
-    is still open, it adds witnesses, fits the ensemble and tests the gap
-    again. The first reference T(I/d) is the barycenter of the uniform
-    ensemble over the computational basis, which attains the minimax value
-    on unitarily covariant channels: after the first ascent that ensemble
-    is evaluated once, and it becomes the certificate if it closes the gap;
-    otherwise it is dropped. A fit adds the best row's state as a witness,
-    and every other final state that two or more rows ended in with a
-    divergence above the best lower bound, highest first, each unless it is
-    within DUPLICATE_OVERLAP of a witness. The new witnesses start at weight
-    1/n each (n witnesses in all) and the others keep their weights, scaled
-    to fill the rest; the weights are solved to a gap of 0.02 tol. The
-    returned ``witnesses`` and ``weights`` are those of the fit that set the
-    best lower bound, not of the last fit (the basis ensemble if it closed
-    the gap, empty if the ascent closed it alone), and their
-    ``_ensemble_point`` reproduces that bound exactly (a single witness
-    certifies 0 without a fit). ``restarts`` must be at least 1.
+    After each fit the next reference is the fitted ensemble's barycenter. The
+    value is the lowest inner supremum over the references, raised to the best
+    lower bound if it is below it; the gap is that value minus the best lower
+    bound. The inner problem is non-concave, so the supremum is heuristic and
+    the gap is reported honestly. Ascent rows that close in on a higher row
+    merge into it. An outer iteration runs the inner ascent and tests the gap;
+    if it is still open, it adds witnesses, fits the ensemble and tests the
+    gap again. The first reference T(I/d) is the barycenter of the uniform
+    ensemble over the computational basis, which attains the minimax value on
+    unitarily covariant channels: after the first ascent that ensemble is
+    evaluated once, and it becomes the certificate if it closes the gap;
+    otherwise it is dropped. A fit adds the best row's state as a witness, and
+    every other final state that two or more rows ended in with a divergence
+    above the best lower bound, highest first, each unless it is within
+    DUPLICATE_OVERLAP of a witness. The new witnesses start at weight 1/n each
+    (n witnesses in all) and the others keep their weights, scaled to fill the
+    rest; the weights are solved to a gap of 0.02 tol. The returned
+    ``witnesses`` and ``weights`` are those of the fit that set the best lower
+    bound, not of the last fit (the basis ensemble if it closed the gap, empty
+    if the ascent closed it alone), and their ``_ensemble_point`` reproduces
+    that bound exactly (a single witness certifies 0 without a fit).
+    ``restarts`` must be at least 1.
     """
     _check_tol(tol)
     d = channel.d_in
-    image_anchor = channel.apply(np.eye(d, dtype=complex) / d)
-    sigma = image_anchor
+    sigma = channel.apply(np.eye(d, dtype=complex) / d)
     witnesses = np.zeros((0, d), dtype=complex)
     weights = np.zeros(0)
     certificate = witnesses, weights  # the ensemble that set chi_best
@@ -670,8 +662,7 @@ def holevo_quantity(
         if not keep.all():
             witnesses, outs = witnesses[keep], outs[keep]
             weights = weights[keep] / weights[keep].sum()
-        avg = np.einsum("r,rij->ij", weights, outs)
-        sigma = (1.0 - ANCHOR_MIX) * avg + ANCHOR_MIX * image_anchor
+        sigma = np.einsum("r,rij->ij", weights, outs)
     gap = max(value_best - chi_best, 0.0)  # the upper end is at least chi_best
     return CapacityEstimate(
         gap_bound=gap,

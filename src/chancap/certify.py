@@ -175,7 +175,7 @@ def _pure_vector(state, d: int) -> np.ndarray:
         raise ValueError(f"state of shape {state.shape} is neither a length-{n} vector nor {n}x{n}")
     nrm = np.linalg.norm(state)
     if not abs(nrm - 1.0) <= INPUT_TOL:  # also rejects non-finite entries
-        raise ValueError(f"state vector is not normalized (norm {nrm!r})")
+        raise ValueError(f"state vector is not normalized (norm {float(nrm)!r})")
     return state / nrm
 
 

@@ -111,7 +111,7 @@ def schmidt_decompose(v: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposit
     if not abs(nrm - 1.0) <= VALIDATION_TOL:  # a nan norm fails too
         if not np.isfinite(nrm):
             raise ValueError("vector contains non-finite entries")
-        raise ValueError(f"vector is not normalized (norm {nrm!r})")
+        raise ValueError(f"vector is not normalized (norm {float(nrm)!r})")
     u, s, vh = np.linalg.svd(v.reshape(d1, d2), full_matrices=True)
     right = vh.T.copy()  # columns f_k with entries f_k[j] = vh[k, j]
     # fix global phases: largest-magnitude component of each e_k real positive
@@ -156,7 +156,7 @@ def check_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
         raise ValueError(f"state is not Hermitian (max deviation {dev:.3e})")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > tol:
-        raise ValueError(f"state trace is {tr!r}, expected 1")
+        raise ValueError(f"state trace is {float(tr)!r}, expected 1")
     psd = is_psd(rho, tol)
     if not psd.is_psd:
         raise ValueError(f"state has negative eigenvalue {psd.min_eigenvalue:.3e}")

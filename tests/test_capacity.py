@@ -355,10 +355,10 @@ class TestHolevoQuantity:
         # instead, the open-gap basis ensemble changes the witnesses and
         # iterations of the (2, 2), (2, 3) and (3, 3) solves
         expected = {
-            (0, 45): (2, 0.14151822234372075, 0.1415182224587685, 2),
-            (1, 19): (2, 0.1656744843976657, 0.16567448589401357, 2),
-            (2, 5): (4, 0.30887444172175094, 0.30887446756942916, 6),
-            (3, 23): (3, 0.25213208316018404, 0.25213217164982726, 6),
+            (0, 45): (2, 0.14151822234372075, 0.14151822245877058, 2),
+            (1, 19): (2, 0.1656744843976657, 0.165674485894002, 2),
+            (2, 5): (4, 0.3088744417217513, 0.3088744675693337, 6),
+            (3, 23): (3, 0.25213208316018454, 0.25213217164979834, 6),
         }
         for (index, trial), fields in expected.items():
             dims = [(2, 2), (2, 3), (3, 2), (3, 3)][index]
@@ -368,7 +368,7 @@ class TestHolevoQuantity:
             assert got == fields, (index, trial, got)
         est = holevo_quantity(amplitude_damping_channel(0.3))
         got = (est.iterations, est.lower_nats, est.upper_nats, len(est.witnesses))
-        assert got == (2, 0.44245598840378164, 0.44245598957971455, 6)
+        assert got == (2, 0.44245598840378164, 0.4424559895797147, 6)
 
     def test_gap_is_tested_before_and_after_each_fit(self, monkeypatch):
         fits = []
@@ -441,6 +441,15 @@ class TestHolevoQuantity:
         for base in (7000, 9000, 11000):
             est = holevo_quantity(chan, tol=1e-10, seed=(base + 1, 5), max_iter=200)
             assert est.converged and est.iterations <= 15, (base, est.iterations)
+
+    def test_tight_tolerance_two_kraus_qubit_channel_converges_at_every_seed(self):
+        # the reference after each fit is the fitted barycenter alone; this
+        # solve once ran out 300 outer iterations at solver seed 3 without a
+        # trace of T(I/d) mixed into it, and takes 2 at seeds 0-4
+        chan = random_channel(2, 2, 2, seed=0)
+        for seed in range(5):
+            est = holevo_quantity(chan, tol=1e-10, seed=seed)
+            assert est.converged and est.iterations <= 3, (seed, est.iterations)
 
     def test_no_fit_ends_below_an_earlier_fit(self, monkeypatch):
         # every fit starts from the weights of the previous one, scaled to make

@@ -320,3 +320,16 @@ class TestVerifyRatioBound:
             check = verify_ratio_bound(chan, seed=(18, trial))
             assert check.slack_bits >= -1e-4
             assert check.ce_converged and check.ch_converged
+
+
+def test_input_checks_name_each_fault():
+    qutrit_schmidt = schmidt_decompose(bell_vector(3), (3, 3))
+    message = "basis dimension 3 does not match channel input dimension 2"
+    with pytest.raises(ValueError, match=message):
+        output_barycenter(identity_channel(2), qutrit_schmidt)
+    with pytest.raises(ValueError, match=r"state of shape \(3,\) is neither a length-4 vector nor"):
+        chain_report(identity_channel(2), np.ones(3))
+    with pytest.raises(ValueError, match=r"state vector is not normalized \(norm 2\.0\)$"):
+        chain_report(identity_channel(2), np.array([2.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="the bound chain is defined for input dimension >= 2"):
+        chain_report(identity_channel(1), np.ones(1))

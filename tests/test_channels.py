@@ -393,3 +393,14 @@ class TestJsonFormat:
         QuantumChannel(np.eye(2, dtype=complex)[None, :, :] * np.sqrt(1.0 + 5e-11))
         with pytest.raises(ValueError, match="trace preserving"):
             QuantumChannel(np.eye(2, dtype=complex)[None, :, :] * np.sqrt(1.0 + 2e-10))
+
+
+def test_input_checks_name_each_fault():
+    with pytest.raises(ValueError, match="depolarizing channel needs dimension >= 2"):
+        depolarizing_channel(1, 0.5)
+    with pytest.raises(ValueError, match="Choi matrix has no positive eigenvalues"):
+        kraus_from_choi(np.zeros((4, 4)), 2, 2)
+    with pytest.raises(ValueError, match="kraus_count must be >= 1"):
+        random_channel(2, 2, kraus_count=0)
+    with pytest.raises(ValueError, match="channel JSON field 'kraus' must be a nonempty array"):
+        channel_from_json('{"d_in": 1, "d_out": 1, "kraus": []}')

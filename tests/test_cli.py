@@ -8,7 +8,7 @@ import pytest
 
 from chancap import capacity, certify, channel_to_json, identity_channel
 from chancap.cli import _csv, build_parser, main
-from chancap.linalg import maximally_entangled_state
+from chancap.linalg import maximally_entangled_state, random_pure_state
 
 
 def run_cli(*args, timeout=300):
@@ -245,6 +245,16 @@ class TestChainCommand:
         assert seen["tol"] == 1e-5
         assert "monotone_ok,True" in capsys.readouterr().out
 
+    def test_state_as_re_im_pairs(self, capsys):
+        # a JSON array of [re, im] pairs is the complex vector it spells out:
+        # the chain prints what --state random:5 prints for the same vector
+        v = random_pure_state(4, 5)
+        pairs = json.dumps([[z.real, z.imag] for z in v])
+        named = ("chain", "--named", "random:din=2,dout=2,seed=3")
+        res = run_main(capsys, *named, "--state", pairs)
+        assert res.returncode == 0
+        assert res.stdout == run_main(capsys, *named, "--state", "random:5").stdout
+
     def test_non_numeric_state_rejected(self, capsys):
         for spec in ('{"a": 1}', '[{"a": 1}, 0, 0, 0]'):
             res = run_main(capsys, "chain", "--named", "identity:d=2", "--state", spec)
@@ -303,6 +313,20 @@ class TestSweepCommand:
                             ("--seed", "5")):
             err = usage_error(capsys, "sweep", "--points", "3", flag, value)
             assert f"unrecognized arguments: {flag}" in err
+
+
+class TestChannelInput:
+    def test_input_checks_name_each_fault(self, identity_file, tmp_path, capsys):
+        res = run_main(capsys, "capacity", identity_file, "--named", "identity:d=2")
+        assert res.returncode == 1
+        assert res.stderr == "error: give either a channel file or --named, not both\n"
+        res = run_main(capsys, "capacity", str(tmp_path / "missing.json"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: cannot read channel file: ")
+        assert "missing.json" in res.stderr
+        res = run_main(capsys, "capacity", "--named", "identity:d")
+        assert res.returncode == 1
+        assert res.stderr == "error: bad parameter 'd' in --named spec\n"
 
 
 class TestConfigValidation:

@@ -260,3 +260,20 @@ class TestRandomStates:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             random_density_matrix(2, 3, 0)
+
+
+def test_input_checks_name_each_fault():
+    with pytest.raises(ValueError, match="keep must be 0 or 1"):
+        partial_trace(np.eye(4), keep=2, dims=(2, 2))
+    with pytest.raises(ValueError, match="vector length 3 does not match dims 2x2"):
+        schmidt_decompose(np.ones(3) / np.sqrt(3.0), (2, 2))
+    with pytest.raises(ValueError, match=r"vector is not normalized \(norm 2\.0\)$"):
+        schmidt_decompose(np.array([2.0, 0.0, 0.0, 0.0]), (2, 2))
+    with pytest.raises(ValueError, match=r"state must be square, got shape \(2, 3\)"):
+        check_density_matrix(np.ones((2, 3)) / 2.0)
+    with pytest.raises(ValueError, match="state contains non-finite entries"):
+        check_density_matrix(np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match=r"state trace is 2\.0, expected 1$"):
+        check_density_matrix(np.eye(2))
+    with pytest.raises(ValueError, match="state has negative eigenvalue -5.000e-01"):
+        check_density_matrix(np.diag([1.5, -0.5]))

@@ -84,12 +84,13 @@ def hermitian_eig(m: np.ndarray) -> Eigensystem:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    adjoint = m.conj().T
+    dev = np.abs(m - adjoint).max() if m.size else 0.0
     if not dev <= INPUT_TOL:  # a nan deviation fails too
         if not np.isfinite(dev):
             raise ValueError("matrix contains non-finite entries")
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = np.linalg.eigh((m + adjoint) / 2.0)
     return Eigensystem(w, v)
 
 
@@ -216,17 +217,13 @@ def log_matrix(m: np.ndarray) -> np.ndarray:
 def log_divided_differences(w: np.ndarray) -> np.ndarray:
     """Matrix of (ln w_k - ln w_l)/(w_k - w_l) over a spectrum, 1/w_k on ties.
 
-    Eigenvalues are floored at LOG_FLOOR, as in the logs. Near-equal pairs go
-    through log1p of the ratio to avoid cancellation.
+    Eigenvalues are floored at LOG_FLOOR, as in the logs. Every pair is
+    log1p(g/m)/g with gap g = |w_k - w_l| and m = min(w_k, w_l), and 1/m on
+    a tie. The log1p argument is never negative, so no pair cancels at any
+    ratio; g and m are symmetric in k and l, so the matrix is symmetric bit
+    for bit.
     """
     w = np.maximum(w, LOG_FLOOR)
-    logs = np.log(w)
-    wk, wl = w[:, None], w[None, :]
-    d = wk - wl
-    ratio = wk / wl
-    near = (ratio > 0.5) & (ratio < 2.0)
-    d_safe = np.where(d == 0.0, 1.0, d)
-    small = np.where(near, d / wl, 0.0)  # log1p(-1) would warn on far pairs it never uses
-    via_log1p = np.where(d == 0.0, 1.0 / wk, np.log1p(small) / d_safe)
-    via_logs = (logs[:, None] - logs[None, :]) / d_safe
-    return np.where(near, via_log1p, via_logs)
+    low = np.minimum(w[:, None], w[None, :])
+    gap = np.abs(w[:, None] - w[None, :])
+    return np.divide(np.log1p(gap / low), gap, out=1.0 / low, where=gap > 0.0)

@@ -3,10 +3,12 @@
 Each oracle computes a quantity by a route other than the library's: the
 relative entropy and the log-derivative form by quadrature, the channel
 mutual information through a purification of the input, and the barycenter
-(Donald) identity as a residual of relative entropies. The per-member loops
-are the references for the library's stacked evaluations: one single-pair
-call per member, and the bound chain summed member by member. The sphere
-ascent's divergence kernel is checked against its Kraus-index einsum form.
+(Donald) identity as a residual of relative entropies. The divided
+differences of ln over a spectrum are evaluated in 50-digit decimal
+arithmetic. The per-member loops are the references for the library's
+stacked evaluations: one single-pair call per member, and the bound chain
+summed member by member. The sphere ascent's divergence kernel is checked
+against its Kraus-index einsum form.
 The exact families are channels whose capacities have closed forms: the
 depolarizing channel at any dimension and mixing weight, the erasure channel
 and the Werner-Holevo channel. The superposition family is built vector by
@@ -18,6 +20,7 @@ the library's total weight over sandwich factor.
 """
 
 import math
+from decimal import Decimal, localcontext
 from itertools import permutations
 
 import numpy as np
@@ -34,6 +37,7 @@ from chancap.entropy import (
 )
 from chancap.linalg import (
     INPUT_TOL,
+    LOG_FLOOR,
     clamped_eigh,
     eigensystem_log,
     hermitian_eig,
@@ -46,6 +50,7 @@ from chancap.linalg import (
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 2 ** 14
+DECIMAL_DIGITS = 50
 
 
 def _xlogx_total(eigs) -> float:
@@ -168,6 +173,19 @@ def log_derivative_form_via_quadrature(tau: np.ndarray, eta: np.ndarray) -> floa
         integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
     )
     return value
+
+
+def log_divided_differences_in_decimal(w) -> np.ndarray:
+    """(ln w_k - ln w_l)/(w_k - w_l), and 1/w_k on ties, in 50-digit decimal
+    arithmetic from the exact values of the floats max(w, LOG_FLOOR)."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        w = [Decimal(max(float(x), LOG_FLOOR)) for x in w]
+        logs = [x.ln() for x in w]
+        return np.array([
+            [float(1 / a if a == b else (la - lb) / (a - b)) for b, lb in zip(w, logs)]
+            for a, la in zip(w, logs)
+        ])
 
 
 def relative_entropy_via_integral(rho: np.ndarray, tau: np.ndarray) -> float:

@@ -357,8 +357,8 @@ class TestHolevoQuantity:
         expected = {
             (0, 45): (2, 0.14151822234372075, 0.14151822245877058, 2),
             (1, 19): (2, 0.1656744843976657, 0.165674485894002, 2),
-            (2, 5): (4, 0.3088744417217513, 0.3088744675693337, 6),
-            (3, 23): (3, 0.25213208316018454, 0.25213217164979834, 6),
+            (2, 5): (4, 0.30887444172175144, 0.3088744675693341, 6),
+            (3, 23): (3, 0.2521320831601837, 0.25213217164979795, 6),
         }
         for (index, trial), fields in expected.items():
             dims = [(2, 2), (2, 3), (3, 2), (3, 3)][index]

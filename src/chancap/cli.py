@@ -25,6 +25,8 @@ EXIT_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_INCONCLUSIVE = 3
 
+SANDWICH_TOL = 1e-9  # nats by which verify-sandwich lets either bound be violated
+
 
 def fmt(x: float) -> str:
     """Locale-independent numeric formatting at 6 significant digits."""
@@ -185,7 +187,7 @@ def cmd_verify_sandwich(args) -> int:
     lower_violation = max(r[1] for r in results)
     rows = [("upper_bound", upper_violation), ("lower_bound", lower_violation)]
     _emit(_csv([("check", "max_violation_nats"), *rows]), args.out)
-    ok = upper_violation <= 1e-9 and lower_violation <= 1e-9
+    ok = upper_violation <= SANDWICH_TOL and lower_violation <= SANDWICH_TOL
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 

@@ -69,10 +69,12 @@ def _relative_entropies(rhos: np.ndarray, xlogx: np.ndarray, ref: Eigensystem) -
     gets an infinite value, the others are unaffected.
     """
     mu, h = ref
-    support = mu > KERNEL_THRESHOLD
     diag = np.einsum("ki,nij,jk->nk", h.conj().T, rhos, h).real
-    values = xlogx - np.sum(diag[:, support] * floored_log(mu[support]), axis=-1)
-    values[np.sum(diag[:, ~support], axis=-1) > KERNEL_MASS_TOL] = np.inf
+    support = mu > KERNEL_THRESHOLD
+    if support.all():
+        return xlogx - (diag * floored_log(mu)).sum(axis=-1)
+    values = xlogx - (diag[:, support] * floored_log(mu[support])).sum(axis=-1)
+    values[diag[:, ~support].sum(axis=-1) > KERNEL_MASS_TOL] = np.inf
     return values
 
 
@@ -99,12 +101,12 @@ def _log_derivative_forms(etas: np.ndarray, ref: Eigensystem) -> np.ndarray:
     mu, h = ref
     m = h.conj().T @ etas @ h
     support = mu > KERNEL_THRESHOLD
-    leaks = np.zeros(len(m), dtype=bool)
-    if not np.all(support):
-        touching = ~(support[:, None] & support[None, :])
-        leaks = np.any(np.abs(m[:, touching]) > KERNEL_MASS_TOL, axis=-1)
-        m, mu = m[:, support][:, :, support], mu[support]
-    values = np.sum(np.abs(m) ** 2 * log_divided_differences(mu), axis=(-2, -1))
+    if support.all():
+        return (np.abs(m) ** 2 * log_divided_differences(mu)).sum(axis=(-2, -1))
+    touching = ~(support[:, None] & support[None, :])
+    leaks = (np.abs(m[:, touching]) > KERNEL_MASS_TOL).any(axis=-1)
+    m, mu = m[:, support][:, :, support], mu[support]
+    values = (np.abs(m) ** 2 * log_divided_differences(mu)).sum(axis=(-2, -1))
     values[leaks] = np.inf
     return values
 

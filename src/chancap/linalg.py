@@ -191,7 +191,7 @@ def floored_log(w: np.ndarray) -> np.ndarray:
 
 def xlogx_sum(w: np.ndarray) -> np.ndarray:
     """Sum of w ln w over the last axis of clamped eigenvalues, with 0 ln 0 = 0."""
-    return np.sum(w * floored_log(w), axis=-1)
+    return (w * floored_log(w)).sum(axis=-1)
 
 
 def trace_xlogx(m: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +13,25 @@ from chancap.cli import _csv, build_parser, main
 from chancap.linalg import maximally_entangled_state, random_pure_state
 
 
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args, timeout=300):
+    """``python *args`` in a fresh process, which imports chancap from this checkout's ``src``.
+
+    The process inherits the environment with ``src`` put first on PYTHONPATH:
+    pytest's own ``pythonpath`` setting reaches only the test process.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )
+
+
 def run_cli(*args, timeout=300):
     """``python -m chancap.cli`` in a fresh process."""
-    return subprocess.run(
-        [sys.executable, "-m", "chancap.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+    return run_python("-m", "chancap.cli", *args, timeout=timeout)
 
 
 def run_main(capsys, *args):
@@ -145,7 +158,9 @@ class TestVerifyRatioCommand:
 
     def test_byte_identical_reruns(self):
         args = ("verify-ratio", "--trials", "2", "--seed", "7", "--jobs", "1")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.returncode == second.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
 
     def test_dimension_one_trivial(self, capsys):
         res = run_main(capsys, "verify-ratio", "--trials", "2", "--din", "1", "--dout", "2")
@@ -430,7 +445,7 @@ class TestParallelism:
 
 def test_import_loads_no_scipy():
     code = "import sys, chancap; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    res = run_python("-c", code, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -440,6 +455,6 @@ def test_cli_import_loads_no_worker_pool():
     # every serial run start without concurrent.futures or multiprocessing
     pool = ("concurrent", "multiprocessing")
     code = f"import sys, chancap.cli; print([m for m in sys.modules if m.split('.')[0] in {pool}])"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    res = run_python("-c", code, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

@@ -18,7 +18,7 @@ from chancap import (
     relative_entropy,
     von_neumann_entropy,
 )
-from chancap.entropy import _log_derivative_forms, _relative_entropies
+from chancap.entropy import KERNEL_THRESHOLD, _log_derivative_forms, _relative_entropies
 from chancap.linalg import hermitian_eig, partial_trace, seeded_rng, trace_xlogx
 from oracles import (
     donald_residual,
@@ -292,6 +292,51 @@ class TestSandwich:
             before = relative_entropy(rho, tau).value
             after = relative_entropy(chan.apply(rho), chan.apply(tau)).value
             assert after <= before + 1e-9
+
+
+# float.hex of relative_entropy(rho, tau).value, log_derivative_form(tau,
+# rho - tau) and dominance_constant(rho, tau) on the verify-sandwich inputs at
+# seed 0, trial index rank - 1, keyed by (d, rank of rho); recorded with numpy
+# 2.4.6 and OpenBLAS
+SANDWICH_PINS = {
+    (2, 1): ("0x1.d76cdb63fd476p-2", "0x1.6e0cda8291455p-1", "0x1.1363117f0eff0p+1"),
+    (2, 2): ("0x1.315e10b4faa92p+0", "0x1.12f6c97da20d4p+2", "0x1.bc2555fc457d2p+2"),
+    (3, 1): ("0x1.cc14469e638b2p+1", "0x1.ab3118e5bb1c0p+7", "0x1.c6de9521f8b8ap+8"),
+    (3, 2): ("0x1.9ed1343d20ab2p-1", "0x1.c7eda3d985adcp+0", "0x1.2ea889bf1be4cp+2"),
+    (3, 3): ("0x1.2c7bb261356bep+0", "0x1.f045cd4f30ef8p+1", "0x1.b5d7efd81b5d8p+2"),
+    (4, 1): ("0x1.41f2663664e1bp+0", "0x1.4d7d7359b789dp+1", "0x1.f70ef98b21f14p+1"),
+    (4, 2): ("0x1.82bb77af8677fp+1", "0x1.aa2d1d2ff491dp+5", "0x1.4ac9781e17a23p+6"),
+    (4, 3): ("0x1.49e8349f13b04p-1", "0x1.1af7d189b35efp+1", "0x1.f9e8429cae09dp+2"),
+    (4, 4): ("0x1.a73f421095540p+0", "0x1.a7d4cef175456p+4", "0x1.35271f51b1a96p+6"),
+    (5, 1): ("0x1.efc060370b624p+1", "0x1.5cb5ccd713b20p+6", "0x1.1041883e0380ap+7"),
+    (5, 2): ("0x1.79a7ecb95e8eap+0", "0x1.a3485da1fd0b2p+2", "0x1.11f9a60fd2dafp+5"),
+    (5, 3): ("0x1.9211c51025f8fp+0", "0x1.1f578148871bcp+3", "0x1.a3d5618c59917p+4"),
+    (5, 4): ("0x1.614489194291ep+0", "0x1.ce96b36a9ad88p+3", "0x1.d3d3192ba1e80p+5"),
+    (5, 5): ("0x1.5e90e35009b10p+0", "0x1.6536a692dddf8p+4", "0x1.aebc693852cedp+6"),
+}
+# relative_entropy and log_derivative_form at a rank-3 reference in d = 4,
+# whose kernel the state does not reach
+KERNEL_PINS = ("0x1.0c5b71898f606p-3", "0x1.88ffe4dcf8a94p-3")
+
+
+def test_sandwich_values_are_pinned_bit_for_bit():
+    # a full-rank reference skips the kernel split; a trim on either path must
+    # keep every rounding
+    for (d, rank), pins in SANDWICH_PINS.items():
+        rho = random_density_matrix(d, rank, (0, rank - 1, 0))
+        tau = random_density_matrix(d, d, (0, rank - 1, 1))
+        values = (
+            relative_entropy(rho, tau).value,
+            log_derivative_form(tau, rho - tau),
+            dominance_constant(rho, tau),
+        )
+        assert tuple(v.hex() for v in values) == pins, (d, rank)
+    tau = random_density_matrix(4, 3, (0, 4, 1))
+    assert hermitian_eig(tau).values[0] <= KERNEL_THRESHOLD
+    rho = tau @ random_density_matrix(4, 4, (0, 4, 0)) @ tau
+    rho /= np.trace(rho).real
+    values = (relative_entropy(rho, tau).value, log_derivative_form(tau, rho - tau))
+    assert tuple(v.hex() for v in values) == KERNEL_PINS
 
 
 class TestIntegralRepresentation:

@@ -85,7 +85,7 @@ class CapacityEstimate:
     lower_nats: float
     upper_nats: float
     argmax_state: np.ndarray | None = None
-    witnesses: list[np.ndarray] | None = None
+    witnesses: np.ndarray | None = None
     weights: np.ndarray | None = None
     barycenter: np.ndarray | None = None
 
@@ -213,8 +213,7 @@ def _line_search(channel: QuantumChannel, h, direction, point: _AssistedPoint, g
     """The first trial on h + step * direction, step halved from 1 to
     STEP_FLOOR, that raises the value and passes Armijo on its first-order
     gain tr(grad (rho' - rho)), or that keeps the value and lowers the gap: as
-    (logits, point, its gradient and gap or None when not yet formed), or
-    None if no step is taken.
+    (logits, point, its gradient, its gap), or None if no step is taken.
     """
     step = 1.0
     while step >= STEP_FLOOR:
@@ -223,11 +222,11 @@ def _line_search(channel: QuantumChannel, h, direction, point: _AssistedPoint, g
         if trial.value > point.value:
             gain = float(np.trace(grad @ (trial.rho - point.rho)).real)
             if trial.value >= point.value + ARMIJO * gain:
-                return h_step, trial, None
+                return h_step, trial, *_gradient_and_gap(channel, trial)
         if trial.value >= point.value:
             certificate = _gradient_and_gap(channel, trial)
             if certificate[1] < gap:
-                return h_step, trial, certificate
+                return h_step, trial, *certificate
         step /= 2.0
     return None
 
@@ -262,19 +261,16 @@ def entanglement_assisted_capacity(
     for iterations in range(1, max_iter + 1):
         if gap <= tol:
             break
-        found = None
         images = images or _traceless_images(channel)
         newton, gain = _newton_logits(images, point, grad)
-        if gain > 0.0:
-            found = _line_search(channel, h, newton, point, grad, gap)
+        found = _line_search(channel, h, newton, point, grad, gap) if gain > 0.0 else None
         if found is None:
             found = _line_search(channel, h, grad, point, grad, gap)
         if found is None:
             stop_reason = "step_floor"  # with the gap open, reported as it stands
             break
-        h, point, certificate = found
+        h, point, grad, gap = found
         h = h - point.logit_max * np.eye(d)  # keep logits bounded
-        grad, gap = certificate or _gradient_and_gap(channel, point)
     if gap <= tol:  # the gap at the last accepted point
         stop_reason = "gap"
     value = max(0.0, point.value)
@@ -289,21 +285,23 @@ def entanglement_assisted_capacity(
 
 
 def _divergences_and_grads(channel: QuantumChannel, ln_sigma: np.ndarray, states: np.ndarray):
-    """D(T(psi psi*)||sigma) and its Wirtinger gradient for a stack of unit vectors.
+    """D(T(psi psi*)||sigma) and its tangent gradient for a stack of unit vectors.
 
-    Row i of the gradient is g_i = V* (1 (x) X_i) V psi_i, with V the Stinespring
-    isometry kraus.reshape(m * d_out, d_in) and X_i = ln T(psi_i) - ln sigma; the
-    divergence is Re<psi_i, g_i>, and along a tangent t (Re<psi_i, t> = 0) it
-    changes at the rate 2 Re<g_i, t>. Both come from one eigendecomposition of
+    Row i of the Wirtinger gradient is g_i = V* (1 (x) X_i) V psi_i, with V the
+    Stinespring isometry kraus.reshape(m * d_out, d_in) and X_i = ln T(psi_i) -
+    ln sigma; the divergence is D_i = Re<psi_i, g_i>, and the tangent gradient
+    t_i = g_i - D_i psi_i. Along a tangent t (Re<psi_i, t> = 0) the divergence
+    changes at the rate 2 Re<t_i, t>. Both come from one eigendecomposition of
     the outputs and one floored log of its eigenvalues (``log_matrix``); every
-    product is per row, so no row depends on the others.
+    product is per row, so no row depends on the others. Returns (D, t).
     """
     m, d_out, d_in = channel.kraus.shape
     v = channel.kraus.reshape(m * d_out, d_in)
     amps = (v @ states[:, :, None]).reshape(-1, m, d_out)  # row i: V psi_i as m x d_out
     x = log_matrix(amps.swapaxes(1, 2) @ amps.conj()) - ln_sigma
     grads = ((amps @ x.swapaxes(1, 2)).reshape(-1, 1, m * d_out) @ v.conj()).reshape(-1, d_in)
-    return np.einsum("ri,ri->r", states.conj(), grads).real, grads
+    vals = np.einsum("ri,ri->r", states.conj(), grads).real
+    return vals, grads - vals[:, None] * states
 
 
 def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -332,15 +330,14 @@ def _sphere_ascent(
     A row whose accepted point has squared overlap at least MERGE_OVERLAP with
     a row of higher value (on a tie, of lower index) merges into it: it stops,
     and ends with that row's final value and state. No row ends below its
-    start. Returns the final (values, states) of every row and the index of
-    the row each ended in (itself unless it merged).
+    start. Returns the final (values, states) of every row and the number of
+    rows that ended in each row (a row ends in itself unless it merged).
     """
     psi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    vals, grads = _divergences_and_grads(channel, ln_sigma, psi)
+    vals, tangent = _divergences_and_grads(channel, ln_sigma, psi)
     n = len(psi)
     best_vals, best_psi = vals.copy(), psi.copy()  # each row's last accepted point
     partner, rows = np.arange(n), np.arange(n)  # the row each merged into; the working rows
-    tangent = grads - vals[:, None] * psi  # vals is Re<psi, g>: the tangent part of g
     norms = np.linalg.norm(tangent, axis=1)
     alpha = np.ones(n)
     searches = np.ones(n, dtype=int)
@@ -352,9 +349,8 @@ def _sphere_ascent(
             )
         cand = psi + alpha[:, None] * tangent
         cand /= np.sqrt(_re_inner(cand, cand))[:, None]
-        cand_vals, cand_grads = _divergences_and_grads(channel, ln_sigma, cand)
+        cand_vals, cand_tangent = _divergences_and_grads(channel, ln_sigma, cand)
         ok = cand_vals >= vals + ARMIJO * alpha * norms**2
-        cand_tangent = cand_grads - cand_vals[:, None] * cand
         cand_norms = np.sqrt(_re_inner(cand_tangent, cand_tangent))
         y = tangent - cand_tangent
         sy = _re_inner(cand - psi, y)
@@ -389,7 +385,7 @@ def _sphere_ascent(
                 keep &= partner[rows] == rows
     while (partner[partner] != partner).any():  # follow merge chains to their survivors
         partner = partner[partner]
-    return best_vals[partner], best_psi[partner], partner
+    return best_vals[partner], best_psi[partner], np.bincount(partner, minlength=n)
 
 
 def _random_starts(g: np.random.Generator, restarts: int, d: int) -> np.ndarray:
@@ -548,8 +544,7 @@ def _fit_ensemble(
     point = _ensemble_weights(alphabet, ba_tol, init)
     last = None  # (witnesses, tangent) before the last accepted move
     for _ in range(POSITION_SWEEPS):
-        vals, grads = _divergences_and_grads(channel, eigensystem_log(point.eig), witnesses)
-        tangent = grads - vals[:, None] * witnesses  # vals is Re<psi, g>: the tangent part of g
+        tangent = _divergences_and_grads(channel, eigensystem_log(point.eig), witnesses)[1]
         slope = float(point.weights @ np.linalg.norm(tangent, axis=1) ** 2)
         if slope <= MIN_SLOPE:
             break
@@ -607,11 +602,11 @@ def holevo_quantity(
     DUPLICATE_OVERLAP of a witness. The new witnesses start at weight 1/n each
     (n witnesses in all) and the others keep their weights, scaled to fill the
     rest; the weights are solved to a gap of 0.02 tol. The returned
-    ``witnesses`` and ``weights`` are those of the fit that set the best lower
-    bound, not of the last fit (the basis ensemble if it closed the gap, empty
-    if the ascent closed it alone), and their ``_ensemble_point`` reproduces
-    that bound exactly (a single witness certifies 0 without a fit).
-    ``restarts`` must be at least 1.
+    ``witnesses`` (one state per row) and ``weights`` are those of the fit
+    that set the best lower bound, not of the last fit (the basis ensemble if
+    it closed the gap, no rows if the ascent closed it alone), and their
+    ``_ensemble_point`` reproduces that bound exactly (a single witness
+    certifies 0 without a fit). ``restarts`` must be at least 1.
     """
     _check_tol(tol)
     d = channel.d_in
@@ -629,7 +624,7 @@ def holevo_quantity(
         fresh = _random_starts(seeded_rng(seed, iterations), restarts, d)
         starts = np.concatenate([witnesses, fresh])
         ln_sigma = log_matrix(sigma)
-        vals, states, partner = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
+        vals, states, ended_in = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
         best = int(np.argmax(vals))
         value = float(vals[best])
         if value < value_best:  # keep the best reference seen, not the last
@@ -642,7 +637,6 @@ def holevo_quantity(
                 chi_best, certificate = start.chi, (basis, start.weights)
         if value_best - chi_best <= tol:  # closed by the ascent: no fit needed
             break
-        ended_in = np.bincount(partner, minlength=len(vals))  # rows that ended in each row
         shared = np.flatnonzero((ended_in >= 2) & (vals > chi_best))
         for row in [best, *shared[np.argsort(-vals[shared], kind="stable")]]:
             if not (np.abs(witnesses.conj() @ states[row]) ** 2 >= DUPLICATE_OVERLAP).any():
@@ -670,7 +664,7 @@ def holevo_quantity(
         stop_reason="gap" if gap <= tol else "max_iter",
         lower_nats=chi_best,
         upper_nats=max(0.0, value_best, chi_best),
-        witnesses=list(certificate[0]),
+        witnesses=certificate[0],
         weights=certificate[1],
         barycenter=sigma_best,
     )
@@ -681,14 +675,14 @@ def capacity_ratio(ce_bits: float, ch_bits: float) -> float | None:
     return ce_bits / ch_bits if ch_bits > RATIO_CUTOFF_BITS else None
 
 
-def depolarizing_grid(d: int = 2, points: int = 81) -> list[float]:
-    """Uniform grid over the completely positive range [0, d^2/(d^2-1)], plus 0.999."""
-    p_max = depolarizing_cp_limit(d)
+def depolarizing_grid(points: int = 81) -> list[float]:
+    """Uniform grid over the qubit's completely positive range [0, 4/3], plus 0.999."""
+    p_max = depolarizing_cp_limit(2)
     return sorted(set(float(p) for p in np.linspace(0.0, p_max, points)) | {0.999})
 
 
-def depolarizing_capacity_sweep(d: int = 2, p_grid=None) -> list[SweepPoint]:
-    """Both capacities of the depolarizing family over a grid of mixing weights.
+def depolarizing_capacity_sweep(p_grid=None) -> list[SweepPoint]:
+    """Both capacities of the qubit depolarizing family over a grid of mixing weights.
 
     The default grid is 81 uniform points on the completely positive range
     plus the near-total-noise probe 0.999. Both solvers run at SWEEP_TOL and
@@ -697,10 +691,10 @@ def depolarizing_capacity_sweep(d: int = 2, p_grid=None) -> list[SweepPoint]:
     ``ce_bits`` and ``ch_bits``.
     """
     if p_grid is None:
-        p_grid = depolarizing_grid(d)
+        p_grid = depolarizing_grid()
     rows = []
     for p in p_grid:
-        chan = depolarizing_channel(d, float(p))
+        chan = depolarizing_channel(2, float(p))
         ce = entanglement_assisted_capacity(chan, tol=SWEEP_TOL)
         ch = holevo_quantity(chan, tol=SWEEP_TOL, restarts=SUP_RESTARTS)
         ce_bits, ch_bits = ce.lower_nats / LN2, ch.upper_nats / LN2

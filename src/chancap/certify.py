@@ -42,7 +42,6 @@ from .linalg import (
     partial_trace,
     schmidt_decompose,
     tensor_product,
-    trace_xlogx,
 )
 
 
@@ -150,7 +149,7 @@ def support_margins(
     """Minimum eigenvalues of k sigma - T(state) over the whole state family.
 
     Lists the basis projectors first, then the phase superpositions over
-    ordered pairs; every entry must be >= -1e-9 for the dominance certificate.
+    ordered pairs; the dominance certificate needs each >= -VALIDATION_TOL.
     """
     basis = sd.basis_right
     outs = _family_outputs(channel, basis)[2]
@@ -222,7 +221,7 @@ def chain_report(
     mutual = mutual_information(channel, partial_trace(rho, 1, (d, d)))
     reference = tensor_product(partial_trace(rho, 0, (d, d)), sigma)
     reference_eig = hermitian_eig(reference)
-    anchored = float(_relative_entropies(joint[None], trace_xlogx(joint[None]), reference_eig)[0])
+    anchored = float(_relative_entropies(joint[None], reference_eig)[0])
     quadratic = float(_log_derivative_forms((joint - reference)[None], reference_eig)[0])
 
     # family weights: alpha_k^2 per basis output, and per superposition of the
@@ -233,13 +232,12 @@ def chain_report(
     sigma_eig = hermitian_eig(sigma)
     decomposed = float(decomposed_w @ _log_derivative_forms(outs - sigma, sigma_eig))
 
-    xlogx = trace_xlogx(outs)
-    at_sigma = _relative_entropies(outs, xlogx, sigma_eig)
+    at_sigma = _relative_entropies(outs, sigma_eig)
     entropy_bound = float(entropy_w @ at_sigma) / g
 
     tau = sigma if tau is None else tau
     sup_value, _ = max_output_divergence(channel, tau, restarts=sup_restarts, seed=sup_seed)
-    at_tau = at_sigma if tau is sigma else _relative_entropies(outs, xlogx, hermitian_eig(tau))
+    at_tau = at_sigma if tau is sigma else _relative_entropies(outs, hermitian_eig(tau))
     capacity_bound = prefactor * max(sup_value, float(np.max(at_tau)))
 
     chain = (mutual, anchored, quadratic, decomposed, entropy_bound, capacity_bound)

@@ -228,15 +228,16 @@ def cmd_chain(args) -> int:
     rows += [(k, getattr(report, k), "") for k in ("total_weight", "dominance", "prefactor")]
     rows += [("support_margins", margins, ""), ("monotone_ok", report.monotone_ok, "")]
     _emit(_csv(rows), args.out)
-    return EXIT_OK if report.monotone_ok else EXIT_INCONCLUSIVE
+    dominated = min(report.support_margins) >= -linalg.VALIDATION_TOL
+    return EXIT_OK if report.monotone_ok and dominated else EXIT_INCONCLUSIVE
 
 
 def _sweep_point(args, p: float):
-    return capacity.depolarizing_capacity_sweep(2, [p])[0]
+    return capacity.depolarizing_capacity_sweep([p])[0]
 
 
 def cmd_sweep(args) -> int:
-    rows = _run_trials(_sweep_point, args, capacity.depolarizing_grid(2, args.points))
+    rows = _run_trials(_sweep_point, args, capacity.depolarizing_grid(args.points))
     _emit(_csv([capacity.SweepPoint._fields, *rows]), args.out)
     if args.svg:
         _emit(_sweep_svg(rows), args.svg)
@@ -249,9 +250,8 @@ def _sweep_svg(rows) -> str:
     margin = 60
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     p_max = max(r.p for r in rows)
-    ce_max = max(max(r.ce_bits for r in rows), 1e-9)
-    ratios = [r.ratio for r in rows if r.ratio is not None]
-    ratio_max = max(ratios) if ratios else 1.0
+    ce_max = max(r.ce_bits for r in rows)
+    ratio_max = max(r.ratio for r in rows if r.ratio is not None)
 
     def x_of(p):
         return margin + plot_w * p / p_max

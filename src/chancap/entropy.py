@@ -57,17 +57,17 @@ def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
     """
     rho, tau = _operands(rho, tau)
     ref = hermitian_eig(tau)
-    value = float(_relative_entropies(rho[None], trace_xlogx(rho)[None], ref)[0])
+    value = float(_relative_entropies(rho[None], ref)[0])
     return RelEntropyResult(value, value == float("inf"))
 
 
-def _relative_entropies(rhos: np.ndarray, xlogx: np.ndarray, ref: Eigensystem) -> np.ndarray:
+def _relative_entropies(rhos: np.ndarray, ref: Eigensystem) -> np.ndarray:
     """``relative_entropy`` values of a stack of states against one reference.
 
-    ``xlogx`` holds tr(rho ln rho) of each member and ``ref`` the eigensystem
-    of the reference; a member with kernel mass beyond ``KERNEL_MASS_TOL``
-    gets an infinite value, the others are unaffected.
+    ``ref`` is the reference's eigensystem; a member with kernel mass beyond
+    ``KERNEL_MASS_TOL`` gets an infinite value, the others are unaffected.
     """
+    xlogx = trace_xlogx(rhos)  # tr(rho ln rho) of each member
     mu, h = ref
     diag = np.einsum("ki,nij,jk->nk", h.conj().T, rhos, h).real
     support = mu > KERNEL_THRESHOLD

@@ -25,6 +25,7 @@ from chancap import (
 from chancap.capacity import (
     GRAD_TOL_RANGE,
     LN2,
+    STEP_FLOOR,
     SUP_RESTARTS,
     SWEEP_TOL,
     _alphabet,
@@ -295,7 +296,7 @@ class TestHolevoQuantity:
 
     def test_witnesses_reported(self):
         est = holevo_quantity(random_channel(2, 2, seed=8), seed=9)
-        assert est.witnesses and est.barycenter is not None
+        assert len(est.witnesses) and est.barycenter is not None
         for w in est.witnesses:
             assert abs(np.linalg.norm(w) - 1.0) < 1e-9
 
@@ -496,8 +497,8 @@ class TestInnerSolvers:
         starts = g.standard_normal((8, 2)) + 1j * g.standard_normal((8, 2))
         grad_tol = math.sqrt(1e-10) / 30.0
         _, psi, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
-        vals, grads = _divergences_and_grads(chan, ln_sigma, psi)
-        assert np.linalg.norm(grads - vals[:, None] * psi, axis=1).max() <= grad_tol
+        tangent = _divergences_and_grads(chan, ln_sigma, psi)[1]
+        assert np.linalg.norm(tangent, axis=1).max() <= grad_tol
 
     def test_sphere_ascent_never_lowers_a_row(self):
         for trial in range(6):
@@ -523,7 +524,7 @@ class TestInnerSolvers:
 
     def test_divergence_gradient_matches_central_differences(self):
         # along a tangent t of the unit sphere, D(T(psi)||sigma) changes at the
-        # rate 2 Re<g, t>, with g the Wirtinger gradient of the docstring
+        # rate 2 Re<t_i, t>, with t_i the tangent gradient of the docstring
         for trial in range(8):
             din, dout = [(2, 2), (2, 3), (3, 2), (3, 3)][trial % 4]
             chan = random_channel(din, dout, seed=(70, trial))
@@ -586,7 +587,8 @@ class TestInnerSolvers:
                             vals, grads = _divergences_and_grads(chan, ln_sigma, psi)
                         ref_vals, ref_grads = divergences_and_grads_by_einsum(chan, ln_sigma, psi)
                         np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-12)
-                        np.testing.assert_allclose(grads, ref_grads, rtol=0.0, atol=1e-12)
+                        ref_tangent = ref_grads - ref_vals[:, None] * psi
+                        np.testing.assert_allclose(grads, ref_tangent, rtol=0.0, atol=1e-12)
                         for i in range(len(psi)):
                             alone = _divergences_and_grads(chan, ln_sigma, psi[i : i + 1])
                             assert alone[0][0] == vals[i]
@@ -736,8 +738,7 @@ class TestInnerSolvers:
         vals, psi, _ = _sphere_ascent(chan, ln_sigma, starts, grad_tol=grad_tol)
         assert np.all(vals >= _divergences_and_grads(chan, ln_sigma, psi0)[0])
         best = psi[np.argmax(vals)][None, :]
-        best_vals, grads = _divergences_and_grads(chan, ln_sigma, best)
-        tangent = grads - best_vals[:, None] * best
+        tangent = _divergences_and_grads(chan, ln_sigma, best)[1]
         if np.linalg.norm(tangent) > grad_tol:
             again, _, _ = _sphere_ascent(chan, ln_sigma, best, grad_tol=grad_tol)
             assert again[0] - vals.max() <= 1e-12
@@ -898,6 +899,49 @@ class TestInnerSolvers:
         init = np.array([0.2141630192744648, 0.18583698072553523, 0.2, 0.2, 0.2])
         point = _ensemble_weights(_alphabet(chan, states), 1e-11, init)
         assert point.gap <= 1e-11
+
+    def test_ensemble_weights_stop_where_no_newton_trial_is_taken(self, monkeypatch):
+        # every trial puts all weight on one output, where chi = 0 is below
+        # the start's: one round of trials is rejected and the solve returns
+        # its start, with the gap still open
+        chan = random_channel(2, 3, seed=(130, 0))
+        alphabet = _alphabet(chan, np.array([random_pure_state(2, (131, r)) for r in range(3)]))
+        rounds = []
+
+        def lowering(alphabet, point):
+            rounds.append(point)
+            yield np.eye(len(point.weights))[0]
+
+        monkeypatch.setattr(capacity_module, "_newton_trials", lowering)
+        init = np.array([1.0, 2.0, 1.0])
+        point = _ensemble_weights(alphabet, 1e-12, init)
+        assert len(rounds) == 1
+        assert np.array_equal(point.weights, init / init.sum()) and point.gap > 1e-12
+
+    def test_fit_stops_after_a_sweep_without_an_armijo_step(self, monkeypatch):
+        # every candidate of the first position sweep has its chi lowered, so
+        # the sweep's search halves the step from 1 to 2^-26, the last at or
+        # above STEP_FLOOR: 27 candidate alphabets, after which the fit stops
+        # with the witnesses where they started
+        assert 2.0**-27 < STEP_FLOOR <= 2.0**-26
+        chan = random_channel(2, 3, seed=(132, 0))
+        states = np.array([random_pure_state(2, (133, r)) for r in range(3)])
+        alphabets = []
+        make, evaluate = capacity_module._alphabet, capacity_module._ensemble_point
+
+        def recorded(channel, witnesses):
+            alphabets.append(make(channel, witnesses))
+            return alphabets[-1]
+
+        def lowered(alphabet, weights):
+            point = evaluate(alphabet, weights)
+            return point if alphabet is alphabets[0] else point._replace(chi=point.chi - 1.0)
+
+        monkeypatch.setattr(capacity_module, "_alphabet", recorded)
+        monkeypatch.setattr(capacity_module, "_ensemble_point", lowered)
+        witnesses, alphabet, _ = _fit_ensemble(chan, states, np.full(3, 1.0 / 3), 1e-11)
+        assert len(alphabets) == 1 + 27
+        assert witnesses is states and alphabet is alphabets[0]
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(

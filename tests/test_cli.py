@@ -10,7 +10,7 @@ import pytest
 
 from chancap import capacity, certify, channel_to_json, identity_channel
 from chancap.cli import _csv, build_parser, main
-from chancap.linalg import maximally_entangled_state, random_pure_state
+from chancap.linalg import VALIDATION_TOL, maximally_entangled_state, random_pure_state
 
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -260,6 +260,23 @@ class TestChainCommand:
         assert seen["tol"] == 1e-5
         assert "monotone_ok,True" in capsys.readouterr().out
 
+    def test_failed_dominance_certificate_is_inconclusive(self, monkeypatch, capsys):
+        # the entropy link assumes k sigma >= T(psi) on the whole family: one
+        # support margin below -VALIDATION_TOL makes the chain inconclusive
+        # with its links in order; a margin at -VALIDATION_TOL passes
+        real = certify.chain_report
+        for margin, code in ((-1e-6, 3), (-VALIDATION_TOL, 0)):
+
+            def one_margin(*args, margin=margin, **kwargs):
+                report = real(*args, **kwargs)
+                report.support_margins[3] = margin
+                return report
+
+            monkeypatch.setattr(certify, "chain_report", one_margin)
+            res = run_main(capsys, "chain", "--named", "identity:d=2")
+            assert res.returncode == code
+            assert "monotone_ok,True" in res.stdout
+
     def test_state_as_re_im_pairs(self, capsys):
         # a JSON array of [re, im] pairs is the complex vector it spells out:
         # the chain prints what --state random:5 prints for the same vector
@@ -319,7 +336,7 @@ class TestSweepCommand:
     def test_prints_the_library_sweep(self, capsys):
         res = run_main(capsys, "sweep", "--points", "5", "--jobs", "1")
         assert res.returncode == 0
-        rows = capacity.depolarizing_capacity_sweep(2, capacity.depolarizing_grid(2, 5))
+        rows = capacity.depolarizing_capacity_sweep(capacity.depolarizing_grid(5))
         assert res.stdout == _csv([capacity.SweepPoint._fields, *rows])
 
     def test_solver_flags_are_usage_errors(self, capsys):

@@ -30,6 +30,7 @@ import numpy as np
 from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
 from .entropy import mutual_information_from_spectra
 from .linalg import (
+    INPUT_TOL,
     Eigensystem,
     clamped_eigh,
     eigensystem_log,
@@ -404,16 +405,18 @@ def max_output_divergence(
     the restarts. Returns (best value in nats, best input vector); ties are
     broken by the lowest start index. A restart that merged into a higher one
     ties with it and returns its state, so a tie does not change the vector.
-    ``restarts`` must be at least 1, and ``sigma`` a finite Hermitian
-    d_out x d_out matrix (within INPUT_TOL).
+    ``restarts`` must be at least 1, and ``sigma`` a finite, Hermitian and
+    positive semidefinite d_out x d_out matrix (each within INPUT_TOL).
     """
     sigma = np.asarray(sigma, dtype=complex)
     shape = (channel.d_out, channel.d_out)
     if sigma.shape != shape:
         raise ValueError(f"reference shape {sigma.shape} does not match outputs {shape}")
     starts = _random_starts(seeded_rng(seed), restarts, channel.d_in)
-    ln_sigma = eigensystem_log(hermitian_eig(sigma))
-    vals, psi, _ = _sphere_ascent(channel, ln_sigma, starts)
+    eig = hermitian_eig(sigma)
+    if eig.values[0] < -INPUT_TOL:
+        raise ValueError(f"reference has negative eigenvalue {eig.values[0]:.3e}")
+    vals, psi, _ = _sphere_ascent(channel, eigensystem_log(eig), starts)
     best = int(np.argmax(vals))
     return float(vals[best]), psi[best]
 
@@ -434,24 +437,25 @@ def _alphabet(channel: QuantumChannel, witnesses: np.ndarray) -> _Alphabet:
 class _EnsemblePoint(NamedTuple):
     """Weights over an alphabet with their mixture divergence chi = weights @ dvals,
     a valid lower bound on the Holevo quantity; the divergences
-    D_i = D(out_i || barycenter) with floored logs; the eigensystem of the
-    barycenter sum_i w_i out_i they come from; and the optimality gap
-    max_i D_i - chi. Built only by ``_ensemble_point``, from one
-    eigendecomposition, so chi is exactly reproduced from the weights."""
+    D_i = D(out_i || barycenter) with floored logs; the barycenter sum_i w_i out_i
+    and the eigensystem they come from; and the optimality gap max_i D_i - chi.
+    Built only by ``_ensemble_point``, from one eigendecomposition, so chi is
+    exactly reproduced from the weights."""
 
     weights: np.ndarray
     chi: float
     dvals: np.ndarray
+    barycenter: np.ndarray
     eig: Eigensystem
     gap: float
 
 
 def _ensemble_point(alphabet: _Alphabet, weights: np.ndarray) -> _EnsemblePoint:
-    eig = clamped_eigh(np.einsum("r,rij->ij", weights, alphabet.outs))
+    eig = clamped_eigh(barycenter := np.einsum("r,rij->ij", weights, alphabet.outs))
     ln_avg = eigensystem_log(eig)
     dvals = alphabet.self_terms - np.einsum("rbc,cb->r", alphabet.outs, ln_avg).real
     chi = float(weights @ dvals)
-    return _EnsemblePoint(weights, chi, dvals, eig, float(dvals.max()) - chi)
+    return _EnsemblePoint(weights, chi, dvals, barycenter, eig, float(dvals.max()) - chi)
 
 
 def _move_to_boundary(weights, support, delta, step_max) -> np.ndarray:
@@ -523,7 +527,7 @@ def _ensemble_weights(alphabet: _Alphabet, tol: float, init: np.ndarray) -> _Ens
 
 def _fit_ensemble(
     channel: QuantumChannel, witnesses: np.ndarray, init: np.ndarray, ba_tol: float
-) -> tuple[np.ndarray, _Alphabet, _EnsemblePoint]:
+) -> tuple[np.ndarray, _EnsemblePoint]:
     """Weights and positions of the witness ensemble for the certified lower bound.
 
     The weights over the two or more witnesses' outputs are solved from
@@ -536,9 +540,8 @@ def _fit_ensemble(
     last accepted move, y the drop in tangent), or from 1 where Re<s,y> <= 0.
     If any sweep moved the witnesses, the weights are solved once more, and
     that solve's point is kept unless its chi is below the sweeps'. Returns
-    (witnesses, their alphabet, the ensemble point), and the point's chi is
-    the one reported: it equals ``_ensemble_point(alphabet, point.weights).chi``
-    exactly.
+    (witnesses, the ensemble point); the point's chi, the one reported, is
+    exactly that of its weights over the outputs of the returned witnesses.
     """
     alphabet = start = _alphabet(channel, witnesses)
     point = _ensemble_weights(alphabet, ba_tol, init)
@@ -570,7 +573,7 @@ def _fit_ensemble(
         second = _ensemble_weights(alphabet, ba_tol, point.weights)
         if second.chi >= point.chi:
             point = second
-    return witnesses, alphabet, point
+    return witnesses, point
 
 
 def holevo_quantity(
@@ -582,26 +585,27 @@ def holevo_quantity(
 ) -> CapacityEstimate:
     """Minimax divergence solver for the Holevo quantity.
 
-    Alternates the multi-start inner supremum at the current reference state
-    with barycenter updates over a witness ensemble whose weights and
-    positions are optimized for the certified mixture-divergence lower bound.
-    After each fit the next reference is the fitted ensemble's barycenter. The
-    value is the lowest inner supremum over the references, raised to the best
-    lower bound if it is below it; the gap is that value minus the best lower
-    bound. The inner problem is non-concave, so the supremum is heuristic and
-    the gap is reported honestly. Ascent rows that close in on a higher row
-    merge into it. An outer iteration runs the inner ascent and tests the gap;
-    if it is still open, it adds witnesses, fits the ensemble and tests the
-    gap again. The first reference T(I/d) is the barycenter of the uniform
-    ensemble over the computational basis, which attains the minimax value on
-    unitarily covariant channels: after the first ascent that ensemble is
-    evaluated once, and it becomes the certificate if it closes the gap;
-    otherwise it is dropped. A fit adds the best row's state as a witness, and
-    every other final state that two or more rows ended in with a divergence
-    above the best lower bound, highest first, each unless it is within
-    DUPLICATE_OVERLAP of a witness. The new witnesses start at weight 1/n each
-    (n witnesses in all) and the others keep their weights, scaled to fill the
-    rest; the weights are solved to a gap of 0.02 tol. The returned
+    Alternates the multi-start inner supremum at a reference state with
+    barycenter updates over a witness ensemble whose weights and positions are
+    optimized for the certified mixture-divergence lower bound. Each reference
+    is an ensemble point the solver holds, and the ascent takes ln sigma from
+    its eigensystem: first the uniform ensemble over the computational basis,
+    whose barycenter is T(I/d), then each fitted point, whose barycenter keeps
+    the weights that pruning at WEIGHT_FLOOR drops. The value is the lowest
+    inner supremum over the references, raised to the best lower bound if it
+    is below it; the gap is that value minus the best lower bound. The inner
+    problem is non-concave, so the supremum is heuristic and the gap is
+    reported honestly. Ascent rows that close in on a higher row merge into
+    it. An outer iteration runs the inner ascent and tests the gap; if it is
+    still open, it adds witnesses, fits the ensemble and tests the gap again.
+    The basis ensemble attains the minimax value on unitarily covariant
+    channels: after the first ascent it becomes the certificate if it closes
+    the gap; otherwise it is dropped. A fit adds the best row's state as a
+    witness, and every other final state that two or more rows ended in with a
+    divergence above the best lower bound, highest first, each unless it is
+    within DUPLICATE_OVERLAP of a witness. The new witnesses start at weight
+    1/n each (n witnesses in all) and the others keep their weights, scaled to
+    fill the rest; the weights are solved to a gap of 0.02 tol. The returned
     ``witnesses`` (one state per row) and ``weights`` are those of the fit
     that set the best lower bound, not of the last fit (the basis ensemble if
     it closed the gap, no rows if the ascent closed it alone), and their
@@ -610,31 +614,28 @@ def holevo_quantity(
     """
     _check_tol(tol)
     d = channel.d_in
-    sigma = channel.apply(np.eye(d, dtype=complex) / d)
+    basis = np.eye(d, dtype=complex)
+    ref = start = _ensemble_point(_alphabet(channel, basis), np.full(d, 1.0 / d))
     witnesses = np.zeros((0, d), dtype=complex)
     weights = np.zeros(0)
     certificate = witnesses, weights  # the ensemble that set chi_best
     chi_best = 0.0
     value_best = float("inf")
-    sigma_best = sigma
+    sigma_best = ref.barycenter
     iterations = 0
     ba_tol = 0.02 * tol
     grad_tol = min(GRAD_TOL_RANGE[1], max(GRAD_TOL_RANGE[0], np.sqrt(tol) / 30.0))
     for iterations in range(1, max_iter + 1):
         fresh = _random_starts(seeded_rng(seed, iterations), restarts, d)
         starts = np.concatenate([witnesses, fresh])
-        ln_sigma = log_matrix(sigma)
-        vals, states, ended_in = _sphere_ascent(channel, ln_sigma, starts, grad_tol=grad_tol)
+        vals, states, ended_in = _sphere_ascent(channel, eigensystem_log(ref.eig), starts, grad_tol)
         best = int(np.argmax(vals))
         value = float(vals[best])
         if value < value_best:  # keep the best reference seen, not the last
             value_best = value
-            sigma_best = sigma
-        if iterations == 1:  # T(I/d), the first reference, is the basis ensemble's barycenter
-            basis = np.eye(d, dtype=complex)
-            start = _ensemble_point(_alphabet(channel, basis), np.full(d, 1.0 / d))
-            if value_best - start.chi <= tol and start.chi >= chi_best:
-                chi_best, certificate = start.chi, (basis, start.weights)
+            sigma_best = ref.barycenter
+        if iterations == 1 and value_best - start.chi <= tol and start.chi >= chi_best:
+            chi_best, certificate = start.chi, (basis, start.weights)
         if value_best - chi_best <= tol:  # closed by the ascent: no fit needed
             break
         shared = np.flatnonzero((ended_in >= 2) & (vals > chi_best))
@@ -644,19 +645,17 @@ def holevo_quantity(
         n, k = len(witnesses), len(witnesses) - len(weights)
         init = np.concatenate([weights * (1.0 - k / n), np.full(k, 1.0 / n)])
         if n > 1:
-            witnesses, alphabet, point = _fit_ensemble(channel, witnesses, init, ba_tol)
-            outs, weights, chi = alphabet.outs, point.weights, point.chi
-        else:  # one state: chi = D(out || out) = 0, nothing to fit
-            outs, weights, chi = pure_outputs(channel, witnesses), init, 0.0
+            witnesses, ref = _fit_ensemble(channel, witnesses, init, ba_tol)
+        else:  # one state: its own point, with nothing to fit
+            ref = _ensemble_point(_alphabet(channel, witnesses), init)
+        weights, chi = ref.weights, ref.chi if n > 1 else 0.0  # one state: D(out || out) = 0
         if chi >= chi_best:
             chi_best, certificate = chi, (witnesses, weights)
         if value_best - chi_best <= tol:  # closed by the fit
             break
         keep = weights > WEIGHT_FLOOR
         if not keep.all():
-            witnesses, outs = witnesses[keep], outs[keep]
-            weights = weights[keep] / weights[keep].sum()
-        sigma = np.einsum("r,rij->ij", weights, outs)
+            witnesses, weights = witnesses[keep], weights[keep] / weights[keep].sum()
     gap = max(value_best - chi_best, 0.0)  # the upper end is at least chi_best
     return CapacityEstimate(
         gap_bound=gap,

@@ -28,6 +28,7 @@ from chancap.capacity import (
     STEP_FLOOR,
     SUP_RESTARTS,
     SWEEP_TOL,
+    WEIGHT_FLOOR,
     _alphabet,
     _divergences_and_grads,
     _ensemble_point,
@@ -39,9 +40,8 @@ from chancap.capacity import (
     _traceless_images,
 )
 from chancap.channels import depolarizing_cp_limit
-from chancap.channels import pure_outputs as _batch_outputs
 from chancap.entropy import mutual_information as _mutual_information_nats
-from chancap.linalg import clamped_eigh
+from chancap.linalg import clamped_eigh, eigensystem_log
 from chancap.linalg import log_matrix as _log_matrix
 from oracles import (
     depolarizing_ce_nats,
@@ -149,6 +149,22 @@ def qutrit_with_discarded_level():
 
 
 class TestAssistedCertificate:
+    def test_max_iter_zero_certifies_at_the_maximally_mixed_state(self):
+        # with no iteration the solver reports its start I/d and the gap
+        # certificate there, I(I/d) + lambda_max(grad) - tr(rho grad): the
+        # stage-0 upper end of C_E, sound at any state since I is concave
+        for chan in (random_channel(2, 3, seed=23), random_channel(3, 2, seed=1)):
+            d = chan.d_in
+            rho = np.eye(d, dtype=complex) / d
+            est = entanglement_assisted_capacity(chan, max_iter=0)
+            assert est.iterations == 0 and est.stop_reason == "max_iter"
+            assert np.abs(est.argmax_state - rho).max() <= 1e-15
+            grad = mutual_information_gradient(chan, rho)
+            gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
+            assert abs(est.lower_nats - _mutual_information_nats(chan, rho)) <= 1e-12
+            assert abs(est.gap_bound - gap) <= 1e-14
+            assert est.upper_nats == est.lower_nats + est.gap_bound
+
     def test_value_and_gap_match_the_public_functions(self):
         # the solver's value and gap come from eigensystems it carries along;
         # at the returned state they must equal the library's own evaluations
@@ -314,7 +330,7 @@ class TestHolevoQuantity:
         # the uniform ensemble over the computational basis, whose barycenter
         # it is, attains the minimax value: that ensemble closes the gap after
         # the first inner ascent and is returned as the certificate
-        for d, value in ((2, 0.13081203594113705), (3, 0.23104906018664914)):
+        for d, value in ((2, 0.13081203594113705), (3, 0.23104906018664884)):
             est = holevo_quantity(
                 depolarizing_channel(d, 0.5),
                 tol=SWEEP_TOL,
@@ -356,10 +372,10 @@ class TestHolevoQuantity:
         # instead, the open-gap basis ensemble changes the witnesses and
         # iterations of the (2, 2), (2, 3) and (3, 3) solves
         expected = {
-            (0, 45): (2, 0.14151822234372075, 0.14151822245877058, 2),
-            (1, 19): (2, 0.1656744843976657, 0.165674485894002, 2),
-            (2, 5): (4, 0.30887444172175144, 0.3088744675693341, 6),
-            (3, 23): (3, 0.2521320831601837, 0.25213217164979795, 6),
+            (0, 45): (2, 0.14151822234372124, 0.1415182224587712, 2),
+            (1, 19): (2, 0.16567448439766524, 0.16567448589400022, 2),
+            (2, 5): (4, 0.30887444172175116, 0.3088744675693338, 6),
+            (3, 23): (3, 0.25213208316018426, 0.252132171649799, 6),
         }
         for (index, trial), fields in expected.items():
             dims = [(2, 2), (2, 3), (3, 2), (3, 3)][index]
@@ -369,7 +385,48 @@ class TestHolevoQuantity:
             assert got == fields, (index, trial, got)
         est = holevo_quantity(amplitude_damping_channel(0.3))
         got = (est.iterations, est.lower_nats, est.upper_nats, len(est.witnesses))
-        assert got == (2, 0.44245598840378164, 0.4424559895797147, 6)
+        assert got == (2, 0.44245598840378164, 0.44245598957971494, 6)
+
+    def test_max_iter_zero_returns_the_first_reference(self):
+        # no ascent runs, so no end is certified beyond 0 and inf, and the
+        # reported barycenter is the first reference: the basis point's T(I/d)
+        for chan in (random_channel(2, 3, seed=23), random_channel(3, 2, seed=1)):
+            d = chan.d_in
+            est = holevo_quantity(chan, max_iter=0)
+            assert est.iterations == 0 and est.stop_reason == "max_iter"
+            assert est.lower_nats == 0.0 and est.upper_nats == math.inf
+            assert len(est.witnesses) == len(est.weights) == 0
+            sigma = chan.apply(np.eye(d, dtype=complex) / d)
+            assert np.abs(est.barycenter - sigma).max() <= 1e-15
+
+    def test_each_reference_is_a_point_the_solver_holds(self, monkeypatch):
+        # the first ascent runs against the basis ensemble's point, whose
+        # barycenter is T(I/d), and each later one against the point of the
+        # fit before it: every ln sigma is the log of that point's own
+        # eigensystem, bit for bit. This solve's second fit leaves 3 of its
+        # 6 weights at or below WEIGHT_FLOOR, and the 3 witnesses are pruned
+        # while the next reference keeps their (floored) weights
+        chan = random_channel(2, 3, seed=23)
+        ln_sigmas, fits = [], []
+        ascend, fit = capacity_module._sphere_ascent, capacity_module._fit_ensemble
+
+        def ascent(channel, ln_sigma, *args):
+            ln_sigmas.append(ln_sigma)
+            return ascend(channel, ln_sigma, *args)
+
+        def fitted(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(capacity_module, "_sphere_ascent", ascent)
+        monkeypatch.setattr(capacity_module, "_fit_ensemble", fitted)
+        est = holevo_quantity(chan, tol=1e-7, seed=0)
+        assert est.converged and est.iterations == len(ln_sigmas) == 3 and len(fits) == 3
+        points = [point for _, point in fits]
+        assert np.count_nonzero(points[1].weights <= WEIGHT_FLOOR) == 3
+        basis = _ensemble_point(_alphabet(chan, np.eye(2, dtype=complex)), np.full(2, 0.5))
+        for ln_sigma, point in zip(ln_sigmas, [basis, *points]):
+            assert np.array_equal(ln_sigma, eigensystem_log(point.eig))
 
     def test_gap_is_tested_before_and_after_each_fit(self, monkeypatch):
         fits = []
@@ -461,10 +518,10 @@ class TestHolevoQuantity:
         fit = capacity_module._fit_ensemble
 
         def recorded(*args):
-            witnesses, alphabet, point = fit(*args)
+            witnesses, point = fit(*args)
             assert not chis or point.chi >= max(chis), (len(chis), point.chi, max(chis))
             chis.append(point.chi)
-            return witnesses, alphabet, point
+            return witnesses, point
 
         monkeypatch.setattr(capacity_module, "_fit_ensemble", recorded)
         est = holevo_quantity(random_channel(2, 3, seed=(6001, 5)), tol=1e-10, seed=(7001, 5))
@@ -689,18 +746,23 @@ class TestInnerSolvers:
         assert len(calls) <= 800
 
     def test_max_output_divergence_checks_its_reference(self):
-        # a reference of the wrong shape, a non-Hermitian one and one with a
-        # nan entry are rejected before their logarithm is taken
+        # a reference of the wrong shape, a non-Hermitian one, one with a nan
+        # entry and one with a negative eigenvalue are rejected before their
+        # logarithm is taken; the last one's floored log gives ln(1/LOG_FLOOR)
         chan = random_channel(2, 2, seed=7)
         nan_entry = np.eye(2) / 2
         nan_entry[0, 0] = math.nan
-        for sigma, message in (
-            (np.eye(3) / 3, r"reference shape \(3, 3\) does not match outputs \(2, 2\)"),
-            (np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
-            (nan_entry, "non-finite"),
+        for channel, sigma, message in (
+            (chan, np.eye(3) / 3, r"reference shape \(3, 3\) does not match outputs \(2, 2\)"),
+            (chan, np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+            (chan, nan_entry, "non-finite"),
+            (identity_channel(2), np.diag([1.5, -0.5]), "negative eigenvalue -5.000e-01"),
         ):
             with pytest.raises(ValueError, match=message):
-                max_output_divergence(chan, sigma)
+                max_output_divergence(channel, sigma)
+        # a drift within the input tolerance is accepted
+        value, _ = max_output_divergence(identity_channel(2), np.diag([1.0 + 5e-9, -5e-9]))
+        assert np.isfinite(value)
 
     def test_restarts_below_one_raise(self):
         chan = random_channel(2, 2, seed=1)
@@ -939,9 +1001,9 @@ class TestInnerSolvers:
 
         monkeypatch.setattr(capacity_module, "_alphabet", recorded)
         monkeypatch.setattr(capacity_module, "_ensemble_point", lowered)
-        witnesses, alphabet, _ = _fit_ensemble(chan, states, np.full(3, 1.0 / 3), 1e-11)
+        witnesses, point = _fit_ensemble(chan, states, np.full(3, 1.0 / 3), 1e-11)
         assert len(alphabets) == 1 + 27
-        assert witnesses is states and alphabet is alphabets[0]
+        assert witnesses is states and point.chi == evaluate(alphabets[0], point.weights).chi
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -985,9 +1047,11 @@ class TestInnerSolvers:
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         init = g.exponential(size=m)
         init /= init.sum()
-        witnesses, alphabet, point = _fit_ensemble(chan, states, init, ba_tol)
+        witnesses, point = _fit_ensemble(chan, states, init, ba_tol)
+        alphabet = _alphabet(chan, witnesses)
         assert np.allclose(np.linalg.norm(witnesses, axis=1), 1.0)
-        assert np.array_equal(alphabet.outs, _batch_outputs(chan, witnesses))
+        barycenter = np.einsum("r,rij->ij", point.weights, alphabet.outs)
+        assert np.array_equal(point.barycenter, barycenter)
         assert point.chi == _ensemble_point(alphabet, point.weights).chi
         assert point.chi >= _ensemble_weights(_alphabet(chan, states), ba_tol, init).chi
 

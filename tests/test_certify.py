@@ -229,6 +229,12 @@ class TestChainReport:
         with pytest.raises(ValueError, match="not Hermitian"):
             chain_report(identity_channel(2), skewed)
 
+    def test_rejects_a_reference_with_a_negative_eigenvalue(self):
+        # a tau of trace one with eigenvalue -0.5 is not a state; through its
+        # floored logarithm the chain would end at capacity_bound = inf
+        with pytest.raises(ValueError, match="reference has negative eigenvalue -5.000e-01"):
+            chain_report(identity_channel(2), bell_vector(), tau=np.diag([1.5, -0.5]))
+
     def test_rejects_bad_tol(self):
         # the links' slack is held to the solvers' rule for tol
         chan = random_channel(2, 2, seed=7)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
-from .entropy import mutual_information_from_spectra
+from .entropy import KERNEL_MASS_TOL, KERNEL_THRESHOLD, mutual_information_from_spectra
 from .linalg import (
     INPUT_TOL,
     Eigensystem,
@@ -406,7 +406,9 @@ def max_output_divergence(
     broken by the lowest start index. A restart that merged into a higher one
     ties with it and returns its state, so a tie does not change the vector.
     ``restarts`` must be at least 1, and ``sigma`` a finite, Hermitian and
-    positive semidefinite d_out x d_out matrix (each within INPUT_TOL).
+    positive semidefinite d_out x d_out matrix (each within INPUT_TOL). Where
+    some input reaches sigma's kernel beyond KERNEL_MASS_TOL, the supremum is
+    infinite, attained at the input of largest kernel mass.
     """
     sigma = np.asarray(sigma, dtype=complex)
     shape = (channel.d_out, channel.d_out)
@@ -416,6 +418,11 @@ def max_output_divergence(
     eig = hermitian_eig(sigma)
     if eig.values[0] < -INPUT_TOL:
         raise ValueError(f"reference has negative eigenvalue {eig.values[0]:.3e}")
+    if eig.values[0] <= KERNEL_THRESHOLD:  # <psi|T*(P)|psi> is T(psi)'s mass on sigma's kernel P
+        amps = eig.vectors[:, eig.values <= KERNEL_THRESHOLD].conj().T @ channel.kraus
+        mass = hermitian_eig(np.einsum("mki,mkj->ij", amps.conj(), amps))
+        if mass.values[-1] > KERNEL_MASS_TOL:
+            return float("inf"), mass.vectors[:, -1]
     vals, psi, _ = _sphere_ascent(channel, eigensystem_log(eig), starts)
     best = int(np.argmax(vals))
     return float(vals[best]), psi[best]
@@ -674,23 +681,20 @@ def capacity_ratio(ce_bits: float, ch_bits: float) -> float | None:
     return ce_bits / ch_bits if ch_bits > RATIO_CUTOFF_BITS else None
 
 
-def depolarizing_grid(points: int = 81) -> list[float]:
-    """Uniform grid over the qubit's completely positive range [0, 4/3], plus 0.999."""
+def depolarizing_grid(points: int) -> list[float]:
+    """``points`` uniform weights on the qubit's completely positive range [0, 4/3], plus 0.999."""
     p_max = depolarizing_cp_limit(2)
     return sorted(set(float(p) for p in np.linspace(0.0, p_max, points)) | {0.999})
 
 
-def depolarizing_capacity_sweep(p_grid=None) -> list[SweepPoint]:
-    """Both capacities of the qubit depolarizing family over a grid of mixing weights.
+def depolarizing_capacity_sweep(p_grid) -> list[SweepPoint]:
+    """Both capacities of the qubit depolarizing family at each mixing weight of ``p_grid``.
 
-    The default grid is 81 uniform points on the completely positive range
-    plus the near-total-noise probe 0.999. Both solvers run at SWEEP_TOL and
-    DEFAULT_MAX_ITER, and C_H from SUP_RESTARTS starts at seed 0. The ratio
-    is ``capacity_ratio`` of C_E's lower end and C_H's upper end, the row's
-    ``ce_bits`` and ``ch_bits``.
+    ``chancap sweep`` solves ``depolarizing_grid(--points)``. Both solvers
+    run at SWEEP_TOL and DEFAULT_MAX_ITER, and C_H from SUP_RESTARTS starts
+    at seed 0. The ratio is ``capacity_ratio`` of C_E's lower end and C_H's
+    upper end, the row's ``ce_bits`` and ``ch_bits``.
     """
-    if p_grid is None:
-        p_grid = depolarizing_grid()
     rows = []
     for p in p_grid:
         chan = depolarizing_channel(2, float(p))

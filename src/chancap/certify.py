@@ -37,7 +37,6 @@ from .entropy import (
 from .linalg import (
     INPUT_TOL,
     SchmidtDecomposition,
-    check_density_matrix,
     hermitian_eig,
     partial_trace,
     schmidt_decompose,
@@ -157,21 +156,11 @@ def support_margins(
 
 
 def _pure_vector(state, d: int) -> np.ndarray:
-    """Unit vector of a pure input: a unit vector of length d^2 (renormalized), or a
-    d^2 x d^2 rank-one density matrix, both within INPUT_TOL."""
+    """A pure input's length-d^2 vector, of norm 1 within INPUT_TOL, renormalized."""
     n = d * d
     state = np.asarray(state, dtype=complex)
-    if state.shape == (n, n):
-        try:
-            check_density_matrix(state, INPUT_TOL)
-        except ValueError as exc:
-            raise ValueError(f"pure state required: {exc}") from exc
-        # rank one iff tr(rho^2) = tr(rho)^2, which leaves the scale to the trace check
-        if abs(np.trace(state @ state).real - np.trace(state).real ** 2) > INPUT_TOL:
-            raise ValueError("pure state required")
-        return np.linalg.eigh(state)[1][:, -1]
     if state.shape != (n,):
-        raise ValueError(f"state of shape {state.shape} is neither a length-{n} vector nor {n}x{n}")
+        raise ValueError(f"state of shape {state.shape} is not a length-{n} vector")
     nrm = np.linalg.norm(state)
     if not abs(nrm - 1.0) <= INPUT_TOL:  # also rejects non-finite entries
         raise ValueError(f"state vector is not normalized (norm {float(nrm)!r})")
@@ -188,9 +177,10 @@ def chain_report(
 ) -> ChainReport:
     """Evaluate every link of the upper-bound chain on one pure bipartite input.
 
-    ``state`` is a vector on the doubled input space (or a rank-one density
-    matrix). ``tau`` is the reference for the final capacity bound and
-    defaults to the constructed barycenter. The supremum in the last link is
+    ``state`` is a unit vector of length d^2 on the doubled input space; d
+    must be at least 2, which ``capacity_ratio_prefactor`` checks. ``tau`` is
+    the reference for the final capacity bound and defaults to the
+    constructed barycenter. The supremum in the last link is
     estimated by multi-start ascent (``max_output_divergence``, which also
     checks ``tau``) and maximized with the directly evaluated family terms,
     which keeps the final inequality sound even if the ascent under-finds.
@@ -201,8 +191,7 @@ def chain_report(
     """
     _check_tol(tol)
     d = channel.d_in
-    if d < 2:
-        raise ValueError("the bound chain is defined for input dimension >= 2")
+    prefactor = capacity_ratio_prefactor(d)
     v = _pure_vector(state, d)
     sd = schmidt_decompose(v, (d, d))
     alpha2 = sd.coefficients**2
@@ -212,7 +201,6 @@ def chain_report(
     k_dom = barycenter_dominance(d)
     total = family_total_weight(d)
     g = lower_bound_factor(k_dom)
-    prefactor = capacity_ratio_prefactor(d)
     margins = _margins(outs, sigma, d)
 
     # the auxiliary factor is the first one; the channel acts on the second

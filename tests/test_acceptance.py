@@ -43,7 +43,7 @@ import pytest
 @pytest.fixture(scope="module")
 def sweep_result():
     start = time.monotonic()
-    rows = depolarizing_capacity_sweep()
+    rows = depolarizing_capacity_sweep(capacity_module.depolarizing_grid(81))
     return rows, time.monotonic() - start
 
 

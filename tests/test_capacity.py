@@ -38,8 +38,10 @@ from chancap.capacity import (
     _re_inner,
     _sphere_ascent,
     _traceless_images,
+    depolarizing_grid,
 )
 from chancap.channels import depolarizing_cp_limit
+from chancap.cli import build_parser
 from chancap.entropy import mutual_information as _mutual_information_nats
 from chancap.linalg import clamped_eigh, eigensystem_log
 from chancap.linalg import log_matrix as _log_matrix
@@ -760,9 +762,24 @@ class TestInnerSolvers:
         ):
             with pytest.raises(ValueError, match=message):
                 max_output_divergence(channel, sigma)
-        # a drift within the input tolerance is accepted
+        # a drift within the input tolerance is accepted: the drifted eigenvalue
+        # is kernel, which the identity reaches and the qubit embedding does not
         value, _ = max_output_divergence(identity_channel(2), np.diag([1.0 + 5e-9, -5e-9]))
+        assert value == math.inf
+        embedding = QuantumChannel(np.eye(3, 2, dtype=complex)[None])
+        value, _ = max_output_divergence(embedding, np.diag([0.5 + 5e-9, 0.5, -5e-9]))
         assert np.isfinite(value)
+
+    def test_supremum_is_infinite_where_the_channel_reaches_the_kernel(self):
+        # the identity maps |1> onto the kernel of diag(1, 0): the supremum is
+        # +inf there, not the floored log ln(1/LOG_FLOOR), and |1> attains it
+        value, psi = max_output_divergence(identity_channel(2), np.diag([1.0, 0.0]))
+        assert value == math.inf and abs(abs(psi[1]) - 1.0) <= 1e-12
+        # the qubit-to-qutrit embedding e0<0| + e1<1| never reaches e2, so the
+        # supremum against diag(1/2, 1/2, 0) stays at ln 2, from any pure input
+        embedding = QuantumChannel(np.eye(3, 2, dtype=complex)[None])
+        value, _ = max_output_divergence(embedding, np.diag([0.5, 0.5, 0.0]))
+        assert abs(value - math.log(2.0)) <= 1e-12
 
     def test_restarts_below_one_raise(self):
         chan = random_channel(2, 2, seed=1)
@@ -1123,7 +1140,7 @@ class TestSweep:
         assert calls["holevo_quantity"]["restarts"] == SUP_RESTARTS
 
     def test_default_grid_has_probe_point(self):
-        rows = depolarizing_capacity_sweep(p_grid=None)
-        ps = [r.p for r in rows]
+        # the one default grid is the CLI's: 81 points by --points, plus the probe
+        ps = depolarizing_grid(build_parser().parse_args(["sweep"]).points)
         assert len(ps) == 82 and any(abs(p - 0.999) < 1e-12 for p in ps)
         assert ps == sorted(ps)

@@ -188,18 +188,15 @@ class TestChainReport:
         assert report.monotone_ok
         assert abs(report.mutual_info_nats) < 1e-9
 
-    def test_accepts_rank_one_matrix(self):
+    def test_accepts_vector_within_input_tol(self):
+        # a vector scaled by 1 + 8e-9 is within the input tolerance
+        assert chain_report(identity_channel(2), (1.0 + 8e-9) * bell_vector()).monotone_ok
+
+    def test_rejects_density_matrix(self):
+        # the input is a vector only: its rank-one density matrix is a wrong shape
         v = bell_vector()
-        report = chain_report(identity_channel(2), np.outer(v, v.conj()))
-        assert report.monotone_ok
-        # asymmetric by 1e-11, or with trace 1 + 5e-9 or 1 + 8e-9: within the
-        # input tolerance, as the vector scaled by 1 + 8e-9 is
-        skewed = np.zeros((4, 4))
-        skewed[0, 0] = skewed[0, 3] = skewed[3, 3] = 0.5
-        skewed[3, 0] = 0.50000000001
-        for state in (skewed, *((1.0 + e) * np.outer(v, v.conj()) for e in (5e-9, 8e-9))):
-            assert chain_report(identity_channel(2), state).monotone_ok
-        assert chain_report(identity_channel(2), (1.0 + 8e-9) * v).monotone_ok
+        with pytest.raises(ValueError, match=r"state of shape \(4, 4\) is not a length-4 vector$"):
+            chain_report(identity_channel(2), np.outer(v, v.conj()))
 
     def test_matches_loop_form_chain(self):
         # the stacked links equal the chain summed member by member, with the
@@ -219,15 +216,14 @@ class TestChainReport:
             )
 
     def test_rejects_mixed_state(self):
-        # trace 1 but mixed; trace 2; and a negative operator of purity one
-        for state in (np.eye(4) / 4, np.eye(4) / 2, -np.diag([1.0, 0.0, 0.0, 0.0])):
-            with pytest.raises(ValueError, match="pure state"):
-                chain_report(identity_channel(2), state)
-        # an asymmetry of 1e-7 is beyond the input tolerance
+        # trace 1 but mixed; trace 2; a negative operator of purity one; and
+        # an asymmetric one: every matrix is a wrong shape
         skewed = np.outer(bell_vector(), bell_vector().conj())
         skewed[3, 0] += 1e-7
-        with pytest.raises(ValueError, match="not Hermitian"):
-            chain_report(identity_channel(2), skewed)
+        wrong_shape = r"state of shape \(4, 4\) is not a length-4 vector$"
+        for state in (np.eye(4) / 4, np.eye(4) / 2, -np.diag([1.0, 0.0, 0.0, 0.0]), skewed):
+            with pytest.raises(ValueError, match=wrong_shape):
+                chain_report(identity_channel(2), state)
 
     def test_rejects_a_reference_with_a_negative_eigenvalue(self):
         # a tau of trace one with eigenvalue -0.5 is not a state; through its
@@ -333,9 +329,9 @@ def test_input_checks_name_each_fault():
     message = "basis dimension 3 does not match channel input dimension 2"
     with pytest.raises(ValueError, match=message):
         output_barycenter(identity_channel(2), qutrit_schmidt)
-    with pytest.raises(ValueError, match=r"state of shape \(3,\) is neither a length-4 vector nor"):
+    with pytest.raises(ValueError, match=r"state of shape \(3,\) is not a length-4 vector$"):
         chain_report(identity_channel(2), np.ones(3))
     with pytest.raises(ValueError, match=r"state vector is not normalized \(norm 2\.0\)$"):
         chain_report(identity_channel(2), np.array([2.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="the bound chain is defined for input dimension >= 2"):
+    with pytest.raises(ValueError, match="the prefactor is defined for input dimension >= 2"):
         chain_report(identity_channel(1), np.ones(1))

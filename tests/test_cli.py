@@ -245,7 +245,14 @@ class TestChainCommand:
         quarter = json.dumps(np.eye(4).tolist())
         res = run_main(capsys, "chain", "--named", "identity:d=2", "--state", quarter)
         assert res.returncode == 1
-        assert "pure state required" in res.stderr
+        assert "state of shape (4, 4) is not a length-4 vector" in res.stderr
+
+    def test_density_matrix_rejected(self, capsys):
+        # --state takes a vector; a pure state's density matrix is a wrong shape
+        bell = "[[0.5,0,0,0.5],[0,0,0,0],[0,0,0,0],[0.5,0,0,0.5]]"
+        res = run_main(capsys, "chain", "--named", "identity:d=2", "--state", bell, "--jobs", "1")
+        assert res.returncode == 1
+        assert "state of shape (4, 4) is not a length-4 vector" in res.stderr
 
     def test_tol_reaches_chain_report(self, monkeypatch, capsys):
         seen = {}

@@ -28,9 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel, depolarizing_channel, depolarizing_cp_limit, pure_outputs
-from .entropy import KERNEL_MASS_TOL, KERNEL_THRESHOLD, mutual_information_from_spectra
+from .entropy import (
+    KERNEL_MASS_TOL, KERNEL_THRESHOLD, _reference_eig, mutual_information_from_spectra
+)
 from .linalg import (
-    INPUT_TOL,
     Eigensystem,
     clamped_eigh,
     eigensystem_log,
@@ -212,22 +213,20 @@ def _newton_logits(images, point: _AssistedPoint, grad: np.ndarray):
 
 def _line_search(channel: QuantumChannel, h, direction, point: _AssistedPoint, grad, gap):
     """The first trial on h + step * direction, step halved from 1 to
-    STEP_FLOOR, that raises the value and passes Armijo on its first-order
-    gain tr(grad (rho' - rho)), or that keeps the value and lowers the gap: as
+    STEP_FLOOR, that keeps the value and either rises strictly and passes
+    Armijo on its first-order gain tr(grad (rho' - rho)) or lowers the gap: as
     (logits, point, its gradient, its gap), or None if no step is taken.
     """
     step = 1.0
     while step >= STEP_FLOOR:
         h_step = h + step * direction
         trial = _assisted_point(channel, h_step)
-        if trial.value > point.value:
-            gain = float(np.trace(grad @ (trial.rho - point.rho)).real)
-            if trial.value >= point.value + ARMIJO * gain:
-                return h_step, trial, *_gradient_and_gap(channel, trial)
         if trial.value >= point.value:
-            certificate = _gradient_and_gap(channel, trial)
-            if certificate[1] < gap:
-                return h_step, trial, *certificate
+            trial_grad, trial_gap = _gradient_and_gap(channel, trial)
+            gain = float(np.trace(grad @ (trial.rho - point.rho)).real)
+            rises = trial.value > point.value and trial.value >= point.value + ARMIJO * gain
+            if rises or trial_gap < gap:
+                return h_step, trial, trial_grad, trial_gap
         step /= 2.0
     return None
 
@@ -243,13 +242,13 @@ def entanglement_assisted_capacity(
     along the damped Newton step mapped into the logits (``_newton_logits``);
     if its first-order gain is not positive or that search takes no trial,
     it searches along the Euclidean gradient, a mirror step. Both searches
-    follow ``_line_search``: a trial is taken on Armijo or on a lower gap,
-    and where neither takes one the solver stops at the step floor. The
-    reported gap is lambda_max(grad) - tr(rho grad), a global optimality
-    certificate for this concave objective at every accepted point;
-    convergence means gap <= tol (in nats). Each trial state costs one
-    eigendecomposition of H, T(rho) and T_c(rho) each, which give its value
-    and, once accepted, its gradient and the Hessian of the Newton step.
+    follow ``_line_search``: a trial is taken by one test, Armijo or a
+    lower gap, and where neither search takes one the solver stops at the
+    step floor. The reported gap is lambda_max(grad) - tr(rho grad), a
+    global optimality certificate for this concave objective at every
+    accepted point; convergence means gap <= tol (in nats). Each trial state
+    costs one eigendecomposition of H, T(rho) and T_c(rho) each, which give
+    its value, then its gradient and gap, and the Newton step's Hessian.
     """
     _check_tol(tol)
     d = channel.d_in
@@ -415,9 +414,7 @@ def max_output_divergence(
     if sigma.shape != shape:
         raise ValueError(f"reference shape {sigma.shape} does not match outputs {shape}")
     starts = _random_starts(seeded_rng(seed), restarts, channel.d_in)
-    eig = hermitian_eig(sigma)
-    if eig.values[0] < -INPUT_TOL:
-        raise ValueError(f"reference has negative eigenvalue {eig.values[0]:.3e}")
+    eig = _reference_eig(sigma)
     if eig.values[0] <= KERNEL_THRESHOLD:  # <psi|T*(P)|psi> is T(psi)'s mass on sigma's kernel P
         amps = eig.vectors[:, eig.values <= KERNEL_THRESHOLD].conj().T @ channel.kraus
         mass = hermitian_eig(np.einsum("mki,mkj->ij", amps.conj(), amps))
@@ -537,13 +534,13 @@ def _fit_ensemble(
 ) -> tuple[np.ndarray, _EnsemblePoint]:
     """Weights and positions of the witness ensemble for the certified lower bound.
 
-    The weights over the two or more witnesses' outputs are solved from
-    ``init``. Each of up to POSITION_SWEEPS sweeps then moves the witnesses at
-    these weights along divergence-ascent tangents against the barycenter,
-    line-searched on the mixture divergence so the bound never decreases; an
-    accepted point's barycenter is the next sweep's reference. The first
-    sweep's search starts from step 1, each later one from the
-    Barzilai-Borwein step Re<s,y>/<y,y> over the whole witness stack (s the
+    The weights over the witnesses' outputs are solved from ``init`` (a lone
+    witness keeps weight 1, at gap 0). Each of up to POSITION_SWEEPS sweeps
+    then moves the witnesses at these weights along divergence-ascent tangents
+    against the barycenter, line-searched on the mixture divergence so the
+    bound never decreases; an accepted point's barycenter is the next sweep's
+    reference. The first sweep's search starts from step 1, each later one from
+    the Barzilai-Borwein step Re<s,y>/<y,y> over the whole witness stack (s the
     last accepted move, y the drop in tangent), or from 1 where Re<s,y> <= 0.
     If any sweep moved the witnesses, the weights are solved once more, and
     that solve's point is kept unless its chi is below the sweeps'. Returns
@@ -617,12 +614,12 @@ def holevo_quantity(
     that set the best lower bound, not of the last fit (the basis ensemble if
     it closed the gap, no rows if the ascent closed it alone), and their
     ``_ensemble_point`` reproduces that bound exactly (a single witness
-    certifies 0 without a fit). ``restarts`` must be at least 1.
+    certifies 0, since D(out || out) = 0). ``restarts`` must be at least 1.
     """
     _check_tol(tol)
     d = channel.d_in
     basis = np.eye(d, dtype=complex)
-    ref = start = _ensemble_point(_alphabet(channel, basis), np.full(d, 1.0 / d))
+    ref = _ensemble_point(_alphabet(channel, basis), np.full(d, 1.0 / d))
     witnesses = np.zeros((0, d), dtype=complex)
     weights = np.zeros(0)
     certificate = witnesses, weights  # the ensemble that set chi_best
@@ -641,8 +638,8 @@ def holevo_quantity(
         if value < value_best:  # keep the best reference seen, not the last
             value_best = value
             sigma_best = ref.barycenter
-        if iterations == 1 and value_best - start.chi <= tol and start.chi >= chi_best:
-            chi_best, certificate = start.chi, (basis, start.weights)
+        if iterations == 1 and value_best - ref.chi <= tol and ref.chi >= chi_best:
+            chi_best, certificate = ref.chi, (basis, ref.weights)
         if value_best - chi_best <= tol:  # closed by the ascent: no fit needed
             break
         shared = np.flatnonzero((ended_in >= 2) & (vals > chi_best))
@@ -651,10 +648,7 @@ def holevo_quantity(
                 witnesses = np.concatenate([witnesses, states[row][None, :]])
         n, k = len(witnesses), len(witnesses) - len(weights)
         init = np.concatenate([weights * (1.0 - k / n), np.full(k, 1.0 / n)])
-        if n > 1:
-            witnesses, ref = _fit_ensemble(channel, witnesses, init, ba_tol)
-        else:  # one state: its own point, with nothing to fit
-            ref = _ensemble_point(_alphabet(channel, witnesses), init)
+        witnesses, ref = _fit_ensemble(channel, witnesses, init, ba_tol)
         weights, chi = ref.weights, ref.chi if n > 1 else 0.0  # one state: D(out || out) = 0
         if chi >= chi_best:
             chi_best, certificate = chi, (witnesses, weights)

@@ -8,6 +8,7 @@ boundaries.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +36,27 @@ class RelEntropyResult(NamedTuple):
     kernel_violation: bool
 
 
-def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``b`` as complex arrays of one shape; a ValueError names both shapes otherwise."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a, b
+def _operands(x, tau) -> tuple[np.ndarray, np.ndarray]:
+    """A state or direction ``x`` and its reference ``tau`` as complex arrays of one shape.
+
+    A ValueError names both shapes if they differ, and rejects an ``x`` whose
+    squared norm is not finite (a nan or inf entry, or one beyond about 1e154);
+    ``tau`` is checked where it is diagonalized.
+    """
+    x, tau = np.asarray(x, dtype=complex), np.asarray(tau, dtype=complex)
+    if x.shape != tau.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {tau.shape}")
+    if not math.isfinite(np.vdot(x, x).real):  # one pass; eigh may not converge on a nan
+        raise ValueError("matrix contains non-finite entries")
+    return x, tau
+
+
+def _reference_eig(tau: np.ndarray) -> Eigensystem:
+    """``hermitian_eig`` of a reference, whose eigenvalues must be at least -INPUT_TOL."""
+    ref = hermitian_eig(tau)
+    if ref.values.size and ref.values[0] < -INPUT_TOL:
+        raise ValueError(f"reference has negative eigenvalue {ref.values[0]:.3e}")
+    return ref
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -53,11 +69,11 @@ def relative_entropy(rho: np.ndarray, tau: np.ndarray) -> RelEntropyResult:
 
     Evaluated in the eigenbasis of tau restricted to eigenvalues above the
     kernel threshold; rho mass on the complement beyond ``KERNEL_MASS_TOL``
-    yields an infinite result rather than an error.
+    yields an infinite result rather than an error. Non-finite entries and a
+    ``tau`` with an eigenvalue below -INPUT_TOL raise ValueError.
     """
     rho, tau = _operands(rho, tau)
-    ref = hermitian_eig(tau)
-    value = float(_relative_entropies(rho[None], ref)[0])
+    value = float(_relative_entropies(rho[None], _reference_eig(tau))[0])
     return RelEntropyResult(value, value == float("inf"))
 
 
@@ -85,10 +101,11 @@ def log_derivative_form(tau: np.ndarray, eta: np.ndarray) -> float:
     the eigenpairs of ``tau``, with the tie convention 1/mu_k. Pairs touching
     the kernel of ``tau`` contribute zero when the matrix element is at most
     ``KERNEL_MASS_TOL`` and make the form infinite otherwise. ``tau`` may be
-    any positive semidefinite operator; it is not assumed to have unit trace.
+    any positive semidefinite operator, within INPUT_TOL; it is not assumed to
+    have unit trace. Non-finite entries raise ValueError.
     """
-    tau, eta = _operands(tau, eta)
-    return float(_log_derivative_forms(eta[None], hermitian_eig(tau))[0])
+    eta, tau = _operands(eta, tau)
+    return float(_log_derivative_forms(eta[None], _reference_eig(tau))[0])
 
 
 def _log_derivative_forms(etas: np.ndarray, ref: Eigensystem) -> np.ndarray:
@@ -118,8 +135,8 @@ def lower_bound_factor(k: float) -> float:
     decreasing with range (0, 1/2].
     """
     k = float(k)
-    if k < 1.0:
-        raise ValueError(f"dominance constant must be >= 1, got {k}")
+    if not 1.0 <= k < math.inf:  # a nan fails too
+        raise ValueError(f"dominance constant must be >= 1 and finite, got {k}")
     e = k - 1.0
     if e < 1e-2:
         # series sum (-e)^n / ((n+1)(n+2)) avoids cancellation near k = 1

@@ -450,6 +450,32 @@ class TestHolevoQuantity:
         est = holevo_quantity(depolarizing_channel(2, 0.5), tol=SWEEP_TOL, seed=0)
         assert est.converged and est.iterations == 1 and len(fits) == 0
 
+    def test_a_lone_witness_goes_through_the_ensemble_fit(self, monkeypatch):
+        # 4 of the 200 criterion-5 solves at tol 1e-7 fit a single witness at
+        # some outer iteration; its fit keeps it where it is, at weight 1, and
+        # returns its own ensemble point, and the solve's ends are unchanged
+        chan = random_channel(3, 2, seed=(6002, 21))
+        calls = []
+        fit = capacity_module._fit_ensemble
+
+        def recorded(channel, witnesses, *args):
+            calls.append((witnesses, *fit(channel, witnesses, *args)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(capacity_module, "_fit_ensemble", recorded)
+        est = holevo_quantity(chan, tol=1e-7, seed=(7002, 21))
+        lone = [call for call in calls if len(call[0]) == 1]
+        assert len(lone) == 1
+        witnesses, fitted, point = lone[0]
+        assert np.array_equal(fitted, witnesses)
+        expected = _ensemble_point(_alphabet(chan, witnesses), np.ones(1))
+        fields = ("weights", "chi", "dvals", "barycenter", "gap")
+        assert all(np.array_equal(getattr(point, f), getattr(expected, f)) for f in fields)
+        assert all(np.array_equal(a, b) for a, b in zip(point.eig, expected.eig))
+        assert est.converged and est.iterations == 5
+        assert est.lower_nats.hex() == "0x1.91d68828c0001p-3"
+        assert est.upper_nats.hex() == "0x1.91d6883fb1fbcp-3"
+
     def test_returned_ensemble_certifies_the_lower_bound(self):
         # chi rebuilt from the returned witnesses and weights is the reported
         # lower end value - gap, and exactly so through the solver's own

@@ -239,6 +239,12 @@ class TestLowerBoundFactor:
         with pytest.raises(ValueError):
             lower_bound_factor(0.99)
 
+    def test_rejects_non_finite(self):
+        # nan < 1 is False, and inf reached (inf - inf) / inf: both came out nan
+        for k in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="dominance constant must be >= 1"):
+                lower_bound_factor(k)
+
 
 class TestSandwich:
     def test_operand_shapes_must_match(self):
@@ -247,6 +253,19 @@ class TestSandwich:
             for a, b in ((small, large), (large, small)):
                 with pytest.raises(ValueError, match="shape mismatch"):
                     fn(a, b)
+
+    def test_reference_with_a_negative_eigenvalue_is_rejected(self):
+        # as in max_output_divergence: this reference gave a relative entropy
+        # of -0.405 nats with no kernel violation, and an infinite form. A
+        # drift within INPUT_TOL is kernel, and the kernel conventions apply
+        pure, tau = np.diag([1.0, 0.0]), np.diag([1.5, -0.5])
+        for call in (lambda: relative_entropy(pure, tau), lambda: log_derivative_form(tau, pure)):
+            with pytest.raises(ValueError, match="reference has negative eigenvalue -5.000e-01"):
+                call()
+        drifted = np.diag([1.0 + 5e-9, -5e-9])
+        value, violation = relative_entropy(pure, drifted)
+        assert not violation and abs(value + 5e-9) <= 1e-15
+        assert abs(log_derivative_form(drifted, pure) - 1.0) <= 1e-8
 
     def test_dominance_needs_full_rank_reference(self):
         # a minimum eigenvalue within INPUT_TOL of zero is singular

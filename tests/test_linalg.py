@@ -252,18 +252,25 @@ NON_FINITE_ENTRY_POINTS = {
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
 def test_non_finite_inputs_raise_value_error(entry, bad, where):
     # a nan deviation from Hermiticity or from unit norm compares False
-    # against any tolerance; the check must still reject it, by name
+    # against any tolerance; the check must still reject it, by name. The
+    # entropy functions also reject a poisoned state or direction, where a
+    # 2 x 2 result came out 1.0 or nan and a 3 x 3 eigh did not converge
     tau = random_density_matrix(2, 2, 41)
     rho = random_density_matrix(2, 2, 42)
     v = random_pure_state(4, 43)
+    clean_tau, bad_rho = tau.copy(), rho.copy()
     if where == "diagonal":  # the vector takes it in its first entry, else its second
-        tau[1, 1] = bad
+        tau[1, 1] = bad_rho[1, 1] = bad
         v[0] = bad
     else:
-        tau[0, 1] = tau[1, 0] = bad
+        tau[0, 1] = tau[1, 0] = bad_rho[0, 1] = bad_rho[1, 0] = bad
         v[1] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
-        NON_FINITE_ENTRY_POINTS[entry](tau, rho, v)
+    cases = [(tau, rho)]
+    if entry in ("relative_entropy", "log_derivative_form", "dominance_constant"):
+        cases.append((clean_tau, bad_rho))
+    for t, r in cases:
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+            NON_FINITE_ENTRY_POINTS[entry](t, r, v)
 
 
 class TestIsPsd:
